@@ -19,8 +19,11 @@
 //
 // Interpreter state (variables, procs) persists across eval() calls, so a
 // filter script can keep counters across messages, exactly as §3 describes.
+// The grammar lives in parse.hpp; eval() runs its parse trees, each text
+// parsed once and then served from a per-interpreter cache.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -28,7 +31,10 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
+
+#include "script/parse.hpp"
 
 namespace pfi::script {
 
@@ -54,14 +60,16 @@ struct Result {
   [[nodiscard]] bool is_error() const { return code == Code::kError; }
 };
 
-/// Parse a string as a Tcl list (whitespace-separated, braces group).
-std::vector<std::string> parse_list(std::string_view text);
-
 /// Join elements into a canonical Tcl list (bracing elements as needed).
 std::string make_list(const std::vector<std::string>& elems);
 
 /// Tcl-style glob match (`*`, `?`, `[a-z]`).
 bool glob_match(std::string_view pattern, std::string_view text);
+
+/// How many distinct script texts (and, separately, expression texts) one
+/// interpreter keeps parsed. Text that misses a full cache is parsed for
+/// that evaluation only, so computed `eval` strings cannot grow it.
+inline constexpr std::size_t kParseCacheCapacity = 256;
 
 class Interp {
  public:
@@ -87,8 +95,8 @@ class Interp {
   /// top-level script are reported as errors by callers that care.
   Result eval(std::string_view script);
 
-  /// Evaluate an expression string (the `expr` engine). Performs its own
-  /// `$`/`[...]` substitution, like Tcl's expr on braced arguments.
+  /// Evaluate an expression string (the `expr` engine). Substitutes its own
+  /// `$`/`[...]`/`"..."` operands, like Tcl's expr on braced arguments.
   Result eval_expr(std::string_view expr);
 
   /// Register a host command (overwrites any existing binding).
@@ -156,7 +164,6 @@ class Interp {
     std::set<std::string> globals;  // names aliased to the global frame
   };
   Result invoke(const std::vector<std::string>& words);
-  Result eval_body_mapping_loop_codes(std::string_view body);
   void push_frame() { frames_.emplace_back(); }
   void pop_frame() {
     if (frames_.size() > 1) frames_.pop_back();
@@ -165,8 +172,38 @@ class Interp {
   void append_output(std::string_view text) { output_ += text; }
 
  private:
-  friend class WordParser;
+  friend class ExprParser;
   void install_builtins();
+
+  /// Evaluate a parsed script: the body of eval() and of `[...]`.
+  Result run(const parse::Script& script);
+  /// Append the value of `parts` (of word `w`) to `out`.
+  Result subst(const parse::Word& w, const std::vector<parse::Part>& parts,
+               std::string& out);
+
+  struct TextHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  /// Parse trees by source text. Entries are never evicted, so a tree stays
+  /// valid while it runs, even if a nested evaluation adds to the cache.
+  template <typename T>
+  using ParseCache =
+      std::unordered_map<std::string, T, TextHash, std::equal_to<>>;
+  ParseCache<parse::Script> scripts_;
+  ParseCache<std::vector<parse::Operand>> exprs_;
+
+  /// The cached tree for `text`; once the cache is full, a fresh one parsed
+  /// into `scratch`.
+  template <typename T, typename Parse>
+  static const T& parsed(ParseCache<T>& cache, std::string_view text,
+                         T& scratch, Parse parse) {
+    if (auto it = cache.find(text); it != cache.end()) return it->second;
+    if (cache.size() >= kParseCacheCapacity) return scratch = parse(text);
+    return cache.emplace(text, parse(text)).first->second;
+  }
 
   std::map<std::string, Command> commands_;
   std::vector<Frame> frames_;  // frames_[0] is the global frame
