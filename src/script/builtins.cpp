@@ -727,6 +727,83 @@ Result cmd_info(Interp& in, const Args& a) {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// List and glob utilities (declared in interp.hpp)
+// ---------------------------------------------------------------------------
+
+std::string make_list(const std::vector<std::string>& elems) {
+  std::string out;
+  for (const auto& e : elems) {
+    if (!out.empty()) out += ' ';
+    const bool needs_brace =
+        e.empty() ||
+        e.find_first_of(" \t\n{}\"") != std::string::npos;
+    if (needs_brace) {
+      out += '{';
+      out += e;
+      out += '}';
+    } else {
+      out += e;
+    }
+  }
+  return out;
+}
+
+bool glob_match(std::string_view pattern, std::string_view text) {
+  std::size_t p = 0;
+  std::size_t t = 0;
+  std::size_t star_p = std::string_view::npos;
+  std::size_t star_t = 0;
+  while (t < text.size()) {
+    if (p < pattern.size() &&
+        (pattern[p] == '?' || pattern[p] == text[t])) {
+      ++p;
+      ++t;
+    } else if (p < pattern.size() && pattern[p] == '[') {
+      // character class, possibly with ranges
+      std::size_t q = p + 1;
+      bool matched = false;
+      bool negate = false;
+      if (q < pattern.size() && pattern[q] == '^') {
+        negate = true;
+        ++q;
+      }
+      while (q < pattern.size() && pattern[q] != ']') {
+        if (q + 2 < pattern.size() && pattern[q + 1] == '-' &&
+            pattern[q + 2] != ']') {
+          if (pattern[q] <= text[t] && text[t] <= pattern[q + 2]) {
+            matched = true;
+          }
+          q += 3;
+        } else {
+          if (pattern[q] == text[t]) matched = true;
+          ++q;
+        }
+      }
+      if (q >= pattern.size()) return false;  // unterminated class
+      if (matched == negate) {
+        // fall through to star backtrack below
+        if (star_p == std::string_view::npos) return false;
+        p = star_p + 1;
+        t = ++star_t;
+        continue;
+      }
+      p = q + 1;
+      ++t;
+    } else if (p < pattern.size() && pattern[p] == '*') {
+      star_p = p++;
+      star_t = t;
+    } else if (star_p != std::string_view::npos) {
+      p = star_p + 1;
+      t = ++star_t;
+    } else {
+      return false;
+    }
+  }
+  while (p < pattern.size() && pattern[p] == '*') ++p;
+  return p == pattern.size();
+}
+
 void Interp::install_builtins() {
   register_command("set", cmd_set);
   register_command("unset", cmd_unset);
