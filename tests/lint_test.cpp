@@ -82,6 +82,37 @@ TEST(StaticParse, NestedCommandSubstKeepsAbsolutePositions) {
   EXPECT_EQ(w.nested[0].commands[0].col, 8);
 }
 
+TEST(StaticParse, KeepsWhatPrecedesASyntaxError) {
+  // The interpreter runs this tree, so everything before the error stays:
+  // the failing word ends in a kError part.
+  const auto s = script::parse::parse_script("set a 1\nputs [set a 2] {x}y\n");
+  EXPECT_EQ(s.error, "extra characters after close-brace");
+  EXPECT_EQ(s.error_line, 2);
+  ASSERT_EQ(s.commands.size(), 2u);
+  const auto& failing = s.commands[1].words;
+  ASSERT_EQ(failing.size(), 3u);
+  EXPECT_EQ(failing[1].nested.size(), 1u);
+  ASSERT_EQ(failing[2].parts.size(), 1u);
+  EXPECT_EQ(failing[2].parts[0].kind, script::parse::Part::Kind::kError);
+}
+
+TEST(StaticParse, NestedErrorLeavesTheOuterScriptWhole) {
+  // `[return 1; {x}y]` returns before reaching its error, so the rest of
+  // the outer script must still be there to run.
+  const auto s =
+      script::parse::parse_script("set a [return 1; {x}y] b\nset c 3\n");
+  EXPECT_EQ(s.error, "extra characters after close-brace");
+  ASSERT_EQ(s.commands.size(), 2u);
+  EXPECT_EQ(s.commands[0].words.size(), 4u);
+  ASSERT_EQ(s.commands[0].words[2].nested.size(), 1u);
+  EXPECT_FALSE(s.commands[0].words[2].nested[0].ok());
+  script::Interp in;
+  const auto r = in.eval("set a [return 1; {x}y]\nset c 3\n");
+  EXPECT_TRUE(r.is_ok()) << r.value;
+  EXPECT_EQ(in.get_var("a").value_or(""), "1");
+  EXPECT_EQ(in.get_var("c").value_or(""), "3");
+}
+
 // ---------------------------------------------------------------------------
 // Script rules, one positive + one negative each
 // ---------------------------------------------------------------------------
