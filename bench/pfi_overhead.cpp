@@ -201,10 +201,35 @@ void BM_MessageHeaderPushPop(benchmark::State& state) {
   const std::vector<std::uint8_t> hdr(17, 0xAB);
   for (auto _ : state) {
     msg.push_header(hdr);
-    benchmark::DoNotOptimize(msg.pop_header(17));
+    benchmark::DoNotOptimize(msg.pop_header(17).data());
   }
 }
 BENCHMARK(BM_MessageHeaderPushPop);
+
+// The UDP and IP wire headers as UdpLayer/IpLayer build them: encoded with
+// xk::Writer into its inline buffer, pushed into headroom, popped as spans.
+void BM_HeaderCodecUdpIp(benchmark::State& state) {
+  xk::Message msg{std::string(512, 'x')};
+  const auto len = static_cast<std::uint16_t>(msg.size());
+  for (auto _ : state) {
+    xk::Writer udp;
+    udp.u16(7);  // src port
+    udp.u16(9);  // dst port
+    udp.u16(len);
+    udp.push_onto(msg);
+    xk::Writer ip;
+    ip.u32(1);  // src
+    ip.u32(2);  // dst
+    ip.u8(static_cast<std::uint8_t>(net::IpProto::kUdp));
+    ip.u8(64);  // ttl
+    ip.u16(static_cast<std::uint16_t>(msg.size()));
+    ip.push_onto(msg);
+    benchmark::DoNotOptimize(msg.pop_header(12).data());
+    benchmark::DoNotOptimize(msg.pop_header(6).data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_HeaderCodecUdpIp);
 
 void BM_SchedulerScheduleAndRun(benchmark::State& state) {
   sim::Scheduler sched;

@@ -628,6 +628,8 @@ void Engine::shutdown(const std::string& reason) {
 bool Engine::sever_worker_link() {
   for (std::size_t i = 0; i < conns_.size(); ++i) {
     if (conns_[i].role != Conn::Role::kWorker) continue;
+    const auto w = workers_.find(conns_[i].worker_id);
+    if (w == workers_.end() || w->second.outstanding.empty()) continue;
     if (opts_.on_log) {
       opts_.on_log("chaos: severing link of " + conns_[i].worker_id);
     }

@@ -171,9 +171,11 @@ class Engine {
 
   [[nodiscard]] int worker_count() const;
 
-  /// Chaos hook: close the link of one connected worker without telling
-  /// it (simulates a network partition — the worker must notice, back
-  /// off, and reconnect). Returns true if a link was severed.
+  /// Chaos hook: close the link of one connected worker that holds leased
+  /// cells, without telling it (simulates a network partition — the worker
+  /// must notice, back off, and reconnect). Only a lease holder is cut, so
+  /// the batch cannot finish until that worker reattaches or its grace
+  /// expires. Returns true if a link was severed.
   bool sever_worker_link();
 
   /// Send raw frame bytes to a client connection (daemon replies). False
@@ -290,8 +292,9 @@ struct FabricOptions {
   /// Abort (returning the partial result vector) when no worker has been
   /// connected for this long while work remains. 0 = wait forever.
   int no_worker_timeout_ms = 0;
-  /// Chaos: sever one worker's link after every N accepted results
-  /// (0 = never). Proves reconnect-and-resume keeps reports byte-identical.
+  /// Chaos: sever one lease-holding worker's link after every N accepted
+  /// results (0 = never). Proves reconnect-and-resume keeps reports
+  /// byte-identical.
   int flap_every = 0;
   /// Completion-order stream, same contract as ExecutorOptions::on_result.
   std::function<void(const campaign::RunResult&)> on_result;

@@ -87,7 +87,8 @@ void FlightRecorder::record(FlightEvent event, std::string_view worker,
   r.t_us = t_us;
   r.event = event;
   const std::size_t n = std::min(worker.size(), sizeof r.worker - 1);
-  std::memcpy(r.worker, worker.data(), n);
+  // A defaulted string_view has a null data(); memcpy must not see it.
+  if (n > 0) std::memcpy(r.worker, worker.data(), n);
   r.worker[n] = '\0';
   r.job = job;
   r.slot = slot;

@@ -16,7 +16,9 @@ void ReliableLayer::reset() {
 
 void ReliableLayer::push(xk::Message msg) {
   net::UdpMeta meta = net::UdpMeta::pop_from(msg);
-  auto ctrl_bytes = msg.pop_header(1);
+  // The popped span aliases msg's headroom, which rel.push_onto overwrites
+  // below: read the control byte now, before any push.
+  const auto ctrl_bytes = msg.pop_header(1);
   const SendMode mode = ctrl_bytes.empty()
                             ? SendMode::kRaw
                             : static_cast<SendMode>(ctrl_bytes[0]);

@@ -175,13 +175,20 @@ void PfiLayer::run_filter(Direction dir, xk::Message msg) {
   stats_.duplicated += static_cast<std::uint64_t>(ctx.duplicates);
   if (ctx.delay > 0) ++stats_.delayed;
   for (int i = 0; i < copies; ++i) {
+    // Duplicates get copies; the last forwarded message takes ctx.msg itself.
+    xk::Message m;
+    if (i + 1 < copies) {
+      m = ctx.msg;
+    } else {
+      m = std::move(ctx.msg);
+    }
     if (ctx.delay > 0) {
       sched_.schedule(ctx.delay,
-                      [this, alive = alive_, dir, m = ctx.msg]() mutable {
+                      [this, alive = alive_, dir, m = std::move(m)]() mutable {
                         if (*alive) forward(dir, std::move(m));
                       });
     } else {
-      forward(dir, ctx.msg);
+      forward(dir, std::move(m));
     }
   }
 }

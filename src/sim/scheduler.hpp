@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -19,6 +18,11 @@
 namespace pfi::sim {
 
 /// Handle to a scheduled event; used to cancel it before it fires.
+///
+/// The low 32 bits name a slot in the scheduler's liveness table, the high
+/// 32 bits the generation that slot had when the event was scheduled. A slot
+/// is reused once its event fires or is cancelled, with a new generation, so
+/// a stale handle is never mistaken for the slot's next event.
 using TimerId = std::uint64_t;
 
 constexpr TimerId kInvalidTimer = 0;
@@ -56,8 +60,8 @@ class Scheduler {
   /// True if `id` refers to an event that has not yet fired or been cancelled.
   [[nodiscard]] bool pending(TimerId id) const;
 
-  /// Number of events still queued (including cancelled tombstones' live peers).
-  [[nodiscard]] std::size_t queued() const { return live_.size(); }
+  /// Number of live events queued (cancelled tombstones are not counted).
+  [[nodiscard]] std::size_t queued() const { return live_count_; }
 
   [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
 
@@ -98,11 +102,21 @@ class Scheduler {
     }
   };
 
+  /// Claim a slot (reusing a free one first) and return the live id.
+  TimerId acquire();
+  /// Free `id`'s slot if `id` is live; returns whether it was.
+  bool release(TimerId id);
+
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 1;
-  TimerId next_id_ = 1;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<TimerId> live_;
+  // Liveness table: one generation per slot, odd while the slot holds a
+  // live event and even while it is free, so a TimerId (which always carries
+  // an odd generation) is live exactly when its slot's generation equals
+  // its own. Grows only to the most events ever live at once.
+  std::vector<std::uint32_t> slot_gen_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_count_ = 0;
   SchedulerStats stats_;
 };
 

@@ -90,9 +90,8 @@ void TcpConnection::open_passive(const TcpHeader& syn) {
 }
 
 void TcpConnection::send(std::string_view data) {
-  for (char c : data) {
-    send_queue_.push_back(static_cast<std::uint8_t>(c));
-  }
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data());
+  send_queue_.insert(send_queue_.end(), bytes, bytes + data.size());
   if (state_ == State::kEstablished || state_ == State::kCloseWait) {
     try_send();
   }

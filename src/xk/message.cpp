@@ -21,10 +21,13 @@ Message::Message(std::string_view payload) {
 
 void Message::push_header(std::span<const std::uint8_t> header) {
   if (header.size() > off_) {
-    // Out of headroom: regrow with fresh space at the front.
-    const std::size_t grow = std::max(kHeadroom, header.size());
+    // Out of headroom: regrow with fresh space at the front, keeping a full
+    // kHeadroom free after this header so the layers below push in place
+    // (a message built by pushing its first header onto an empty Message
+    // then crosses the whole stack without another regrow).
+    const std::size_t grow = kHeadroom + header.size();
     std::vector<std::uint8_t> fresh;
-    fresh.reserve(grow + buf_.size() - off_ + header.size());
+    fresh.reserve(grow + size());
     fresh.resize(grow);
     fresh.insert(fresh.end(), buf_.begin() + static_cast<long>(off_),
                  buf_.end());
@@ -36,11 +39,9 @@ void Message::push_header(std::span<const std::uint8_t> header) {
             buf_.begin() + static_cast<long>(off_));
 }
 
-std::vector<std::uint8_t> Message::pop_header(std::size_t n) {
+std::span<const std::uint8_t> Message::pop_header(std::size_t n) {
   if (n > size()) return {};
-  std::vector<std::uint8_t> header(
-      buf_.begin() + static_cast<long>(off_),
-      buf_.begin() + static_cast<long>(off_ + n));
+  const std::span<const std::uint8_t> header{buf_.data() + off_, n};
   off_ += n;
   return header;
 }
@@ -90,34 +91,22 @@ std::string Message::as_string() const {
   return {bytes().begin(), bytes().end()};
 }
 
-void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
+std::uint8_t* Writer::spill(std::size_t n) {
+  const std::size_t at = size_;
+  if (!spilled()) heap_.assign(inline_.data(), inline_.data() + at);
+  size_ += n;
+  heap_.resize(size_);
+  return heap_.data() + at;
 }
 
 void Writer::raw(std::span<const std::uint8_t> data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
+  std::copy(data.begin(), data.end(), grow(data.size()));
 }
 
 void Writer::str(std::string_view s) {
-  u16(static_cast<std::uint16_t>(std::min<std::size_t>(s.size(), 0xFFFF)));
-  for (char c : s.substr(0, 0xFFFF)) {
-    buf_.push_back(static_cast<std::uint8_t>(c));
-  }
+  s = s.substr(0, 0xFFFF);
+  u16(static_cast<std::uint16_t>(s.size()));
+  raw({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
 }
 
 std::uint8_t Reader::u8() {

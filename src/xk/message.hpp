@@ -5,10 +5,14 @@
 // up (pop_header), exactly like the x-Kernel message tool the paper's stack
 // is built on. The PFI layer additionally needs to inspect and mutate bytes
 // in place (message corruption faults), so raw indexed access is provided.
+//
+// The per-message path allocates nothing in steady state: headers are built
+// in a Writer's inline buffer, pushed into the message's headroom, and popped
+// as spans into the message's own buffer.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,8 +39,14 @@ class Message {
   void push_header(std::span<const std::uint8_t> header);
 
   /// Remove and return the first `n` bytes (a layer stripping its header on
-  /// the way up). Returns an empty vector if the message is shorter than `n`.
-  std::vector<std::uint8_t> pop_header(std::size_t n);
+  /// the way up). Returns an empty span, and removes nothing, if the message
+  /// is shorter than `n`.
+  ///
+  /// The span points into this message's buffer. It stays valid until the
+  /// next push_header, append or truncate on this message (a push writes
+  /// into the headroom the popped bytes now occupy); copy out what must
+  /// outlive that.
+  std::span<const std::uint8_t> pop_header(std::size_t n);
 
   /// Append payload bytes at the tail.
   void append(std::span<const std::uint8_t> data);
@@ -62,8 +72,9 @@ class Message {
  private:
   // Layers prepend headers on the way down, so the message keeps headroom at
   // the front: push_header fills it (O(header)) and pop_header just advances
-  // `off_` (O(header) for the returned copy). The x-Kernel's message tool
-  // used the same trick; the pfi_overhead bench measures the win.
+  // `off_` (O(1), returning a view of the bytes it skipped). The x-Kernel's
+  // message tool used the same trick; the pfi_overhead bench measures the
+  // win.
   static constexpr std::size_t kHeadroom = 64;
 
   std::vector<std::uint8_t> buf_;
@@ -71,23 +82,53 @@ class Message {
 };
 
 /// Big-endian (network byte order) header writer.
+///
+/// Bytes go into a fixed inline buffer, so building a protocol header
+/// allocates nothing. kInlineCapacity covers the largest fixed header on the
+/// per-message path (IP, UDP, TCP, rel, and a GMP header with three
+/// members); longer writes (big member lists, long str()/raw() payloads)
+/// spill the whole buffer to the heap once and keep growing there.
 class Writer {
  public:
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  static constexpr std::size_t kInlineCapacity = 48;
+
+  void u8(std::uint8_t v) { *grow(1) = v; }
+  void u16(std::uint16_t v) { put_be(grow(2), v); }
+  void u32(std::uint32_t v) { put_be(grow(4), v); }
+  void u64(std::uint64_t v) { put_be(grow(8), v); }
   void raw(std::span<const std::uint8_t> data);
   void str(std::string_view s);  // length-prefixed (u16) string
 
-  [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  [[nodiscard]] std::span<const std::uint8_t> data() const {
+    return {spilled() ? heap_.data() : inline_.data(), size_};
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Prepend the accumulated bytes onto `msg` as a header.
-  void push_onto(Message& msg) const { msg.push_header(buf_); }
+  void push_onto(Message& msg) const { msg.push_header(data()); }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  [[nodiscard]] bool spilled() const { return size_ > kInlineCapacity; }
+
+  /// Extend by `n` bytes and return where they go.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = size_;
+    if (at + n > kInlineCapacity) return spill(n);
+    size_ += n;
+    return inline_.data() + at;
+  }
+  std::uint8_t* spill(std::size_t n);
+
+  template <typename T>
+  static void put_be(std::uint8_t* p, T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+    }
+  }
+
+  std::array<std::uint8_t, kInlineCapacity> inline_{};
+  std::vector<std::uint8_t> heap_;  // the bytes, once size_ > kInlineCapacity
+  std::size_t size_ = 0;
 };
 
 /// Big-endian header reader over a byte span. Reads past the end yield zero

@@ -152,6 +152,153 @@ TEST(Timer, DestructionCancels) {
   EXPECT_FALSE(ran);
 }
 
+TEST(Scheduler, OutOfOrderCancelsSkipOnlyTheCancelled) {
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(s.schedule(msec(10 * (i + 1)), [&order, i] {
+      order.push_back(i);
+    }));
+  }
+  EXPECT_TRUE(s.cancel(ids[4]));
+  EXPECT_TRUE(s.cancel(ids[1]));
+  EXPECT_TRUE(s.cancel(ids[3]));
+  for (int i : {0, 2, 5}) EXPECT_TRUE(s.pending(ids[static_cast<size_t>(i)]));
+  for (int i : {1, 3, 4}) EXPECT_FALSE(s.pending(ids[static_cast<size_t>(i)]));
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 5}));
+  EXPECT_EQ(s.stats().timers_cancelled, 3u);
+  EXPECT_EQ(s.stats().events_dispatched, 3u);
+}
+
+TEST(Scheduler, CancelOfFiredTwiceCancelledOrInvalidIdIsRefused) {
+  Scheduler s;
+  const TimerId fired = s.schedule(msec(1), [] {});
+  const TimerId twice = s.schedule(msec(50), [] {});
+  ASSERT_TRUE(s.step());
+  EXPECT_FALSE(s.pending(fired));
+  EXPECT_FALSE(s.cancel(fired));
+  EXPECT_TRUE(s.cancel(twice));
+  EXPECT_FALSE(s.cancel(twice));
+  EXPECT_FALSE(s.pending(kInvalidTimer));
+  EXPECT_FALSE(s.cancel(kInvalidTimer));
+  EXPECT_EQ(s.stats().timers_cancelled, 1u);
+  EXPECT_FALSE(s.step());  // only the tombstone was left
+  EXPECT_EQ(s.stats().events_dispatched, 1u);
+}
+
+TEST(Scheduler, NeverIssuedIdsAreNotPending) {
+  Scheduler s;
+  EXPECT_FALSE(s.pending(1));
+  EXPECT_FALSE(s.pending(~TimerId{0}));
+  EXPECT_FALSE(s.cancel(~TimerId{0}));
+  EXPECT_EQ(s.stats().timers_cancelled, 0u);
+}
+
+TEST(Scheduler, QueuedCountsLiveEventsNotTombstones) {
+  Scheduler s;
+  const TimerId a = s.schedule(msec(1), [] {});
+  const TimerId b = s.schedule(msec(2), [] {});
+  s.schedule(msec(3), [] {});
+  EXPECT_EQ(s.queued(), 3u);
+  s.cancel(b);
+  EXPECT_EQ(s.queued(), 2u);
+  s.cancel(a);
+  EXPECT_EQ(s.queued(), 1u);
+  ASSERT_TRUE(s.step());  // skips both tombstones, fires the third
+  EXPECT_EQ(s.queued(), 0u);
+  EXPECT_EQ(s.now(), msec(3));
+  EXPECT_FALSE(s.step());
+}
+
+TEST(Scheduler, RunUntilSkipsTombstonesWithoutFiringLate) {
+  Scheduler s;
+  bool late = false;
+  const TimerId early = s.schedule(sec(1), [] {});
+  s.schedule(sec(9), [&] { late = true; });
+  s.cancel(early);
+  EXPECT_EQ(s.run_until(sec(5)), 0u);
+  EXPECT_FALSE(late);
+  EXPECT_EQ(s.now(), sec(5));
+  EXPECT_EQ(s.queued(), 1u);
+}
+
+TEST(Scheduler, StatsAreExactForAFixedScript) {
+  Scheduler s;
+  const TimerId a = s.schedule(msec(10), [] {});
+  const TimerId b = s.schedule(msec(20), [] {});
+  s.schedule(msec(30), [] {});
+  EXPECT_TRUE(s.cancel(b));
+  s.schedule(msec(5), [] {});  // 3 live again: high water stays 3
+  ASSERT_TRUE(s.step());       // fires the 5 ms event
+  EXPECT_TRUE(s.cancel(a));
+  EXPECT_FALSE(s.cancel(a));
+  ASSERT_TRUE(s.step());  // skips a and b, fires the 30 ms event
+  EXPECT_EQ(s.now(), msec(30));
+  for (int i = 0; i < 4; ++i) s.schedule(msec(1), [] {});  // high water 4
+  EXPECT_EQ(s.run(), 4u);
+  const SchedulerStats& st = s.stats();
+  EXPECT_EQ(st.timers_scheduled, 8u);
+  EXPECT_EQ(st.timers_cancelled, 2u);
+  EXPECT_EQ(st.events_dispatched, 6u);
+  EXPECT_EQ(st.queue_high_water, 4u);
+}
+
+TEST(Scheduler, EventIsNotPendingInsideItsOwnCallback) {
+  Scheduler s;
+  TimerId self = kInvalidTimer;
+  bool pending_inside = true;
+  bool cancel_inside = true;
+  self = s.schedule(msec(1), [&] {
+    pending_inside = s.pending(self);
+    cancel_inside = s.cancel(self);
+  });
+  s.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(cancel_inside);
+  EXPECT_EQ(s.stats().timers_cancelled, 0u);
+}
+
+TEST(Scheduler, SlotsAreReusedAndStaleHandlesStayDead) {
+  // One long-lived timer stays armed across 100k short ones. Liveness
+  // slots are recycled, so the table never outgrows two entries, and a
+  // handle whose slot has since been reused is neither pending nor
+  // cancellable.
+  Scheduler s;
+  bool long_fired = false;
+  const TimerId long_lived = s.schedule(sec(1000), [&] { long_fired = true; });
+  const TimerId first_short = s.schedule(msec(1), [] {});
+  ASSERT_TRUE(s.step());
+  TimerId last_short = first_short;
+  for (int i = 0; i < 100'000; ++i) {
+    last_short = s.schedule(msec(1), [] {});
+    EXPECT_EQ(static_cast<std::uint32_t>(last_short),
+              static_cast<std::uint32_t>(first_short))
+        << "short timer " << i << " did not reuse the freed slot";
+    ASSERT_TRUE(s.step());
+  }
+  EXPECT_NE(last_short, first_short);
+  EXPECT_FALSE(s.pending(first_short));
+  EXPECT_FALSE(s.cancel(first_short));
+  EXPECT_FALSE(s.pending(last_short));
+  EXPECT_TRUE(s.pending(long_lived));
+  EXPECT_EQ(s.stats().timers_cancelled, 0u);
+  EXPECT_EQ(s.stats().queue_high_water, 2u);
+  EXPECT_EQ(s.queued(), 1u);
+
+  // A stale handle must not cancel the slot's current occupant either.
+  const TimerId occupant = s.schedule(msec(1), [] {});
+  EXPECT_EQ(static_cast<std::uint32_t>(occupant),
+            static_cast<std::uint32_t>(first_short));
+  EXPECT_FALSE(s.cancel(first_short));
+  EXPECT_FALSE(s.cancel(last_short));
+  EXPECT_TRUE(s.pending(occupant));
+  s.run();
+  EXPECT_TRUE(long_fired);
+  EXPECT_EQ(s.stats().events_dispatched, 100'003u);
+}
+
 TEST(Timer, CancelIsIdempotent) {
   Scheduler s;
   Timer t{s};

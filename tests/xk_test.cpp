@@ -1,12 +1,19 @@
 // Unit tests for the x-Kernel-style message and layer framework.
 #include <gtest/gtest.h>
 
+#include "gmp/message.hpp"
+#include "tpc/tpc.hpp"
 #include "trace/trace.hpp"
 #include "xk/layer.hpp"
 #include "xk/message.hpp"
 
 namespace pfi::xk {
 namespace {
+
+/// Owning copy of a popped header, for content comparisons.
+std::vector<std::uint8_t> copy_of(std::span<const std::uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
+}
 
 TEST(Message, EmptyByDefault) {
   Message m;
@@ -26,7 +33,7 @@ TEST(Message, PushPopHeaderInverse) {
   m.push_header(hdr);
   EXPECT_EQ(m.size(), 11u);
   auto popped = m.pop_header(4);
-  EXPECT_EQ(popped, hdr);
+  EXPECT_EQ(copy_of(popped), hdr);
   EXPECT_EQ(m.as_string(), "payload");
 }
 
@@ -35,6 +42,23 @@ TEST(Message, PopHeaderTooLargeReturnsEmptyAndLeavesMessage) {
   auto popped = m.pop_header(10);
   EXPECT_TRUE(popped.empty());
   EXPECT_EQ(m.as_string(), "abc");
+  EXPECT_TRUE(m.pop_header(4).empty());  // one past the end
+  EXPECT_EQ(copy_of(m.pop_header(3)),
+            (std::vector<std::uint8_t>{'a', 'b', 'c'}));
+  EXPECT_TRUE(m.empty());
+}
+
+TEST(Message, PoppedSpanViewsTheMessageBuffer) {
+  // The span aliases the bytes just stripped: valid (and unchanged) until
+  // the next push, which reuses that headroom.
+  Message m{"payload"};
+  const std::vector<std::uint8_t> hdr{1, 2, 3};
+  m.push_header(hdr);
+  const std::uint8_t* front = m.bytes().data();
+  auto popped = m.pop_header(3);
+  EXPECT_EQ(popped.data(), front);
+  EXPECT_EQ(copy_of(popped), hdr);
+  EXPECT_EQ(m.bytes().data(), front + 3);
 }
 
 TEST(Message, NestedHeadersPopInReverseOrder) {
@@ -43,8 +67,8 @@ TEST(Message, NestedHeadersPopInReverseOrder) {
   const std::vector<std::uint8_t> outer{0xBB, 0xCC};
   m.push_header(inner);
   m.push_header(outer);
-  EXPECT_EQ(m.pop_header(2), outer);
-  EXPECT_EQ(m.pop_header(1), inner);
+  EXPECT_EQ(copy_of(m.pop_header(2)), outer);
+  EXPECT_EQ(copy_of(m.pop_header(1)), inner);
   EXPECT_EQ(m.as_string(), "data");
 }
 
@@ -58,7 +82,7 @@ TEST(Message, HeaderLargerThanHeadroomRegrows) {
   }
   m.push_header(big);
   EXPECT_EQ(m.size(), 507u);
-  EXPECT_EQ(m.pop_header(500), big);
+  EXPECT_EQ(copy_of(m.pop_header(500)), big);
   EXPECT_EQ(m.as_string(), "payload");
 }
 
@@ -68,7 +92,7 @@ TEST(Message, ManyHeaderCyclesStayConsistent) {
   for (int i = 0; i < 1000; ++i) {
     m.push_header(hdr);
     ASSERT_EQ(m.size(), 4u);
-    ASSERT_EQ(m.pop_header(3), hdr);
+    ASSERT_EQ(copy_of(m.pop_header(3)), hdr);
   }
   EXPECT_EQ(m.as_string(), "x");
 }
@@ -159,6 +183,122 @@ TEST(WriterReader, TruncatedReadSticky) {
   EXPECT_TRUE(r.truncated());
   EXPECT_EQ(r.u8(), 0);  // stays truncated
   EXPECT_TRUE(r.truncated());
+}
+
+TEST(WriterReader, InlineWritesMatchByteAtATimeEncoding) {
+  Writer w;
+  w.u16(0xA1B2);
+  w.u32(0xC3D4E5F6);
+  w.u64(0x0102030405060708ULL);
+  EXPECT_EQ(w.size(), 14u);
+  EXPECT_EQ(copy_of(w.data()),
+            (std::vector<std::uint8_t>{0xA1, 0xB2, 0xC3, 0xD4, 0xE5, 0xF6, 1,
+                                       2, 3, 4, 5, 6, 7, 8}));
+}
+
+// Spill-path round-trips. RefWriter is the byte-at-a-time vector encoder the
+// inline Writer replaced; every encoding that outgrows
+// Writer::kInlineCapacity must still match it byte for byte.
+struct RefWriter {
+  std::vector<std::uint8_t> out;
+  void be(std::uint64_t v, int width) {
+    for (int shift = 8 * (width - 1); shift >= 0; shift -= 8) {
+      out.push_back(static_cast<std::uint8_t>(v >> shift));
+    }
+  }
+};
+
+TEST(WriterSpill, GmpMessageWith64MembersMatchesReference) {
+  gmp::GmpMessage m;
+  m.type = gmp::MsgType::kCommit;
+  m.sender = 3;
+  m.originator = 0x01020304;
+  m.subject = 9;
+  m.view_id = 0x1122334455667788ULL;
+  for (std::uint32_t i = 0; i < 64; ++i) m.members.push_back(0xA0000000 + i);
+
+  RefWriter ref;
+  ref.be(static_cast<std::uint8_t>(m.type), 1);
+  ref.be(m.sender, 4);
+  ref.be(m.originator, 4);
+  ref.be(m.subject, 4);
+  ref.be(m.view_id, 8);
+  ref.be(m.members.size(), 2);
+  for (auto id : m.members) ref.be(id, 4);
+  ASSERT_GT(ref.out.size(), Writer::kInlineCapacity);
+
+  const Message wire = m.encode();
+  EXPECT_EQ(copy_of(wire.bytes()), ref.out);
+  gmp::GmpMessage back;
+  ASSERT_TRUE(gmp::GmpMessage::decode(wire, back));
+  EXPECT_EQ(back.members, m.members);
+  EXPECT_EQ(back.view_id, m.view_id);
+}
+
+TEST(WriterSpill, TpcMessageWith64ParticipantsMatchesReference) {
+  tpc::TpcMessage m;
+  m.type = tpc::MsgType::kVoteReq;
+  m.txid = 0xDEADBEEF;
+  m.sender = 1;
+  m.decision = tpc::Decision::kAbort;
+  for (std::uint32_t i = 0; i < 64; ++i) m.participants.push_back(i * 7919);
+
+  RefWriter ref;
+  ref.be(static_cast<std::uint8_t>(m.type), 1);
+  ref.be(m.txid, 4);
+  ref.be(m.sender, 4);
+  ref.be(static_cast<std::uint8_t>(m.decision), 1);
+  ref.be(m.participants.size(), 2);
+  for (auto id : m.participants) ref.be(id, 4);
+  ASSERT_GT(ref.out.size(), Writer::kInlineCapacity);
+
+  const Message wire = m.encode();
+  EXPECT_EQ(copy_of(wire.bytes()), ref.out);
+  tpc::TpcMessage back;
+  ASSERT_TRUE(tpc::TpcMessage::decode(wire, back));
+  EXPECT_EQ(back.participants, m.participants);
+}
+
+TEST(WriterSpill, LongStrMatchesReferenceAndRoundTrips) {
+  std::string text(300, ' ');
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    text[i] = static_cast<char>('a' + i % 26);
+  }
+  Writer w;
+  w.u8(0x7F);  // spill with bytes already inline
+  w.str(text);
+  w.u32(0x0A0B0C0D);  // keep writing after the spill
+
+  RefWriter ref;
+  ref.be(0x7F, 1);
+  ref.be(text.size(), 2);
+  for (char c : text) ref.out.push_back(static_cast<std::uint8_t>(c));
+  ref.be(0x0A0B0C0D, 4);
+  EXPECT_EQ(copy_of(w.data()), ref.out);
+
+  Message m{"tail"};
+  w.push_onto(m);
+  Reader r{m};
+  EXPECT_EQ(r.u8(), 0x7F);
+  EXPECT_EQ(r.str(), text);
+  EXPECT_EQ(r.u32(), 0x0A0B0C0Du);
+  EXPECT_FALSE(r.truncated());
+}
+
+TEST(WriterSpill, ExactlyInlineCapacityThenOneMore) {
+  // The boundary: a write that fills the inline buffer exactly stays
+  // inline; the next byte spills everything written so far.
+  Writer w;
+  RefWriter ref;
+  for (std::size_t i = 0; i < Writer::kInlineCapacity / 4; ++i) {
+    w.u32(static_cast<std::uint32_t>(i * 0x01010101));
+    ref.be(i * 0x01010101, 4);
+  }
+  ASSERT_EQ(w.size(), Writer::kInlineCapacity);
+  EXPECT_EQ(copy_of(w.data()), ref.out);
+  w.u8(0xEE);
+  ref.be(0xEE, 1);
+  EXPECT_EQ(copy_of(w.data()), ref.out);
 }
 
 /// Layer that stamps its name onto headers both ways, for order checks.
@@ -295,7 +435,7 @@ TEST_P(HeaderRoundTrip, Inverse) {
     hdr[i] = static_cast<std::uint8_t>(i * 37);
   }
   m.push_header(hdr);
-  EXPECT_EQ(m.pop_header(n), hdr);
+  EXPECT_EQ(copy_of(m.pop_header(n)), hdr);
   EXPECT_EQ(m.as_string(), "body");
 }
 
