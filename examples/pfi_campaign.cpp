@@ -181,15 +181,6 @@ int usage(int code) {
   return code;
 }
 
-/// First integer after `"key":` in a JSON object (daemon DONE summaries).
-int probe_int_field(const std::string& doc, const std::string& key,
-                    int fallback) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = doc.find(needle);
-  if (at == std::string::npos) return fallback;
-  return std::atoi(doc.c_str() + at + needle.size());
-}
-
 /// Write `bytes` to `path` ("" or "-" = stdout). False on I/O failure.
 bool write_file_or_stdout(const std::string& path, const std::string& bytes) {
   if (path.empty() || path == "-") {
@@ -204,11 +195,6 @@ bool write_file_or_stdout(const std::string& path, const std::string& bytes) {
   std::fwrite(bytes.data(), 1, bytes.size(), f);
   std::fclose(f);
   return true;
-}
-
-/// Verdict string of a raw record (fresh or journaled) for summary counts.
-std::string record_verdict(const std::string& record) {
-  return json::probe_string_field(record, "verdict").value_or("error");
 }
 
 }  // namespace
@@ -542,25 +528,28 @@ int main(int argc, char** argv) {
         }
       } else if (f.type == pfi::fabric::FrameType::kDone) {
         const std::string done = pfi::fabric::decode_json_line(f.payload);
+        const auto doc = json::parse(done);
         const std::string status =
-            json::probe_string_field(done, "status").value_or("error");
+            doc ? doc->str_or("status", "error") : "error";
         if (!args.quiet) {
           std::fprintf(stderr, "%s\n", done.c_str());
         }
+        // Read only past the "error" status, so `doc` parsed. Counts
+        // default to 0 when absent; a malformed one reads as a failure.
+        const auto count = [&](const char* key) {
+          std::uint64_t n = 0;
+          return doc->int_field(key, &n) ? n : 1;
+        };
         if (status == "error") {
-          const auto msg = json::probe_string_field(done, "error");
-          if (msg) std::fprintf(stderr, "error: %s\n", msg->c_str());
+          const std::string msg = doc ? doc->str_or("error", "") : "";
+          if (!msg.empty()) std::fprintf(stderr, "error: %s\n", msg.c_str());
           rc = 2;
         } else if (status == "interrupted") {
           rc = 130;
         } else if (args.explore > 0) {
-          rc = probe_int_field(done, "violations", 0) > 0 ? 1 : 0;
+          rc = count("violations") > 0 ? 1 : 0;
         } else {
-          rc = probe_int_field(done, "fail", 0) +
-                           probe_int_field(done, "error", 0) >
-                       0
-                   ? 1
-                   : 0;
+          rc = count("fail") + count("error") > 0 ? 1 : 0;
         }
         break;
       } else if (f.type == pfi::fabric::FrameType::kBye) {
@@ -1091,7 +1080,8 @@ int main(int argc, char** argv) {
       ++sum.skipped;
       continue;
     }
-    const std::string verdict = record_verdict(rec);
+    const auto doc = json::parse(rec);
+    const std::string verdict = doc ? doc->str_or("verdict", "error") : "error";
     if (verdict == "pass") {
       ++sum.passed;
     } else {
@@ -1100,8 +1090,7 @@ int main(int argc, char** argv) {
       } else {
         ++sum.failed;
       }
-      failing_ids.push_back(
-          json::probe_string_field(rec, "id").value_or(""));
+      failing_ids.push_back(doc ? doc->str_or("id", "") : "");
     }
   }
 

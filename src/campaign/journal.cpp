@@ -94,21 +94,19 @@ std::map<std::string, std::string> load_journal(const std::string& path) {
   if (!in) return out;
   std::string line;
   while (std::getline(in, line)) {
-    // {"key":"<16 hex>","record":{...}}
-    const auto key = json::probe_string_field(line, "key");
-    if (!key || key->size() != 16) continue;
-    const std::string marker = "\"record\":";
-    const auto at = line.find(marker);
-    if (at == std::string::npos) continue;
-    if (line.size() < at + marker.size() + 2 || line.back() != '}') continue;
-    // Strip the outer wrapper's closing brace; the rest is the record.
-    std::string record =
-        line.substr(at + marker.size(),
-                    line.size() - (at + marker.size()) - 1);
-    if (record.empty() || record.front() != '{' || record.back() != '}') {
-      continue;  // torn line (killed mid-append)
+    // {"key":"<16 hex>","record":{...}}; a torn line (killed mid-append)
+    // does not parse and is skipped.
+    const auto doc = json::parse(line);
+    if (!doc) continue;
+    const json::Value* key = doc->find("key");
+    const json::Value* rec = doc->find("record");
+    if (key == nullptr || key->kind != json::Value::Kind::kString ||
+        key->text.size() != 16 || rec == nullptr ||
+        rec->kind != json::Value::Kind::kObject) {
+      continue;
     }
-    out[*key] = std::move(record);  // later lines win
+    // The record's own bytes, exactly as journaled; later lines win.
+    out[key->text] = line.substr(rec->begin, rec->end - rec->begin);
   }
   return out;
 }

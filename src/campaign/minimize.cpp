@@ -35,6 +35,12 @@ Events minus(const Events& all, const Events& remove_chunk,
   return out;
 }
 
+/// A cached record's verdict is "fail" (an unreadable record is not).
+bool cached_fail(const std::string& record) {
+  const auto doc = json::parse(record);
+  return doc && doc->str_or("verdict", "error") == "fail";
+}
+
 }  // namespace
 
 MinimizeResult minimize_schedule(const RunCell& cell,
@@ -56,8 +62,7 @@ MinimizeResult minimize_schedule(const RunCell& cell,
       const auto hit = opts.cache->find(key);
       if (hit != opts.cache->end()) {
         ++res.cache_hits;
-        return json::probe_string_field(hit->second, "verdict")
-                   .value_or("error") == "fail";
+        return cached_fail(hit->second);
       }
       if (opts.equivalent_key) {
         const std::string alias = opts.equivalent_key(c);
@@ -65,8 +70,7 @@ MinimizeResult minimize_schedule(const RunCell& cell,
                                       : opts.cache->find(alias);
         if (eq != opts.cache->end()) {
           ++res.cache_hits;
-          return json::probe_string_field(eq->second, "verdict")
-                     .value_or("error") == "fail";
+          return cached_fail(eq->second);
         }
       }
     }

@@ -1,8 +1,9 @@
 #include "campaign/spec.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "campaign/kv.hpp"
 
 namespace pfi::campaign {
 
@@ -29,24 +30,20 @@ bool parse_fault(const std::string& s, FaultKind* out) {
 }
 
 /// "1000..1033" (inclusive) or a single number.
-bool parse_seed_token(const std::string& tok,
+bool parse_seed_token(std::string_view tok,
                       std::vector<std::uint64_t>* seeds) {
   const auto dots = tok.find("..");
-  char* end = nullptr;
-  if (dots == std::string::npos) {
-    const std::uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-    if (*end != '\0') return false;
-    seeds->push_back(v);
-    return true;
-  }
-  const std::string lo_s = tok.substr(0, dots), hi_s = tok.substr(dots + 2);
-  const std::uint64_t lo = std::strtoull(lo_s.c_str(), &end, 10);
-  if (*end != '\0' || lo_s.empty()) return false;
-  const std::uint64_t hi = std::strtoull(hi_s.c_str(), &end, 10);
-  if (*end != '\0' || hi_s.empty() || hi < lo || hi - lo > 100000) {
+  std::uint64_t lo = 0, hi = 0;
+  if (dots == std::string_view::npos) {
+    if (!kv::to_int(tok, &lo)) return false;
+    hi = lo;
+  } else if (!kv::to_int(tok.substr(0, dots), &lo) ||
+             !kv::to_int(tok.substr(dots + 2), &hi)) {
     return false;
   }
-  for (std::uint64_t s = lo; s <= hi; ++s) seeds->push_back(s);
+  if (hi < lo || hi - lo > 100000) return false;
+  // Count up, not `s <= hi`: that never ends when hi is the top u64.
+  for (std::uint64_t i = 0; i <= hi - lo; ++i) seeds->push_back(lo + i);
   return true;
 }
 
@@ -92,6 +89,11 @@ std::optional<CampaignSpec> parse_spec(const std::string& text,
       static const std::string empty;
       return args.empty() ? empty : args[0];
     };
+    // Numbers are strict (campaign/kv.hpp): a whole in-range integer.
+    auto bad_number = [&] {
+      return fail("bad " + key + " '" + one() + "' (want an integer)");
+    };
+    int n = 0;
 
     if (key == "name") {
       spec.name = one();
@@ -128,38 +130,40 @@ std::optional<CampaignSpec> parse_spec(const std::string& text,
     } else if (key == "scenario") {
       spec.scenario = one();
     } else if (key == "burst") {
-      spec.burst = std::atoi(one().c_str());
+      if (!kv::to_int(one(), &spec.burst)) return bad_number();
       if (spec.burst < 1) return fail("burst must be >= 1");
     } else if (key == "first_occurrence") {
-      spec.first_occurrence = std::atoi(one().c_str());
+      if (!kv::to_int(one(), &spec.first_occurrence)) return bad_number();
     } else if (key == "side") {
       if (one() == "send") spec.on_send_side = true;
       else if (one() == "receive") spec.on_send_side = false;
       else return fail("side must be send|receive");
     } else if (key == "delay_ms") {
-      spec.delay = sim::msec(std::atoi(one().c_str()));
+      if (!kv::to_int(one(), &n)) return bad_number();
+      spec.delay = sim::msec(n);
     } else if (key == "nodes") {
-      spec.nodes = std::atoi(one().c_str());
+      if (!kv::to_int(one(), &spec.nodes)) return bad_number();
       if (spec.nodes < 2) return fail("nodes must be >= 2");
     } else if (key == "target_node") {
-      spec.target_node = std::atoi(one().c_str());
+      if (!kv::to_int(one(), &spec.target_node)) return bad_number();
     } else if (key == "warmup_s") {
-      spec.warmup = sim::sec(std::atoi(one().c_str()));
+      if (!kv::to_int(one(), &n)) return bad_number();
+      spec.warmup = sim::sec(n);
     } else if (key == "duration_s") {
-      spec.duration = sim::sec(std::atoi(one().c_str()));
+      if (!kv::to_int(one(), &n)) return bad_number();
+      spec.duration = sim::sec(n);
     } else if (key == "jitter_ms") {
-      spec.jitter = sim::msec(std::atoi(one().c_str()));
+      if (!kv::to_int(one(), &n)) return bad_number();
+      spec.jitter = sim::msec(n);
     } else if (key == "buggy") {
       spec.buggy = one() == "true" || one() == "1";
     } else if (key == "timeout_ms") {
-      spec.timeout_ms = std::atoi(one().c_str());
+      if (!kv::to_int(one(), &spec.timeout_ms)) return bad_number();
       if (spec.timeout_ms < 0) return fail("timeout_ms must be >= 0");
     } else if (key == "max_events") {
-      char* end = nullptr;
-      spec.max_sim_events = std::strtoull(one().c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') return fail("bad max_events");
+      if (!kv::to_int(one(), &spec.max_sim_events)) return bad_number();
     } else if (key == "retries") {
-      spec.retries = std::atoi(one().c_str());
+      if (!kv::to_int(one(), &spec.retries)) return bad_number();
       if (spec.retries < 0) return fail("retries must be >= 0");
     } else {
       return fail("unknown key '" + key + "'");

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "campaign/kv.hpp"
+
 namespace pfi::conformance {
 
 using core::scriptgen::FaultKind;
@@ -94,27 +96,18 @@ std::optional<sim::Duration> parse_time(const std::string& tok) {
   } else {
     return std::nullopt;
   }
-  sim::Duration whole = 0;
-  for (std::size_t k = 0; k < whole_end; ++k) {
-    whole = whole * 10 + (tok[k] - '0');
+  sim::Duration value = 0;
+  if (!campaign::kv::to_scaled(std::string_view(tok).substr(0, whole_end),
+                               mult, &value)) {
+    return std::nullopt;  // overflows the int64 microsecond clock
   }
-  sim::Duration value = whole * mult;
-  sim::Duration scale = mult;
+  sim::Duration scale = mult, part = 0;
   for (char c : frac) {
     scale /= 10;
-    value += (c - '0') * scale;
+    part += (c - '0') * scale;
   }
+  if (__builtin_add_overflow(value, part, &value)) return std::nullopt;
   return value;
-}
-
-std::optional<std::int64_t> parse_int(const std::string& tok) {
-  if (tok.empty()) return std::nullopt;
-  std::int64_t v = 0;
-  for (char c : tok) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return std::nullopt;
-    v = v * 10 + (c - '0');
-  }
-  return v;
 }
 
 std::optional<FaultKind> parse_fault(const std::string& tok) {
@@ -219,12 +212,10 @@ class Parser {
         }
         prog.duration = *d;
       } else {
-        const auto s = parse_int(v->text);
-        if (!s) {
+        if (!campaign::kv::to_int(v->text, &prog.seed)) {
           error(line, v->col, "parse-error", "bad seed \"" + v->text + "\"");
           return;
         }
-        prog.seed = static_cast<std::uint64_t>(*s);
       }
       return;
     }
@@ -306,9 +297,9 @@ class Parser {
         }
         return t;
       };
-      const auto want_int = [&](std::int64_t lo) -> std::optional<std::int64_t> {
-        const auto n = parse_int(v.text);
-        if (!n || *n < lo) {
+      const auto want_int = [&](int lo) -> std::optional<int> {
+        int n = 0;
+        if (!campaign::kv::to_int(v.text, &n) || n < lo) {
           error(line, v.col, "parse-error",
                 "bad value \"" + v.text + "\" for `" + key + "` (integer >= " +
                     std::to_string(lo) + ")");
@@ -319,11 +310,11 @@ class Parser {
       if (inject && key == "after") {
         const auto n = want_int(0);
         if (!n) return false;
-        s.after = static_cast<int>(*n);
+        s.after = *n;
       } else if (inject && key == "count") {
         const auto n = want_int(1);
         if (!n) return false;
-        s.count = static_cast<int>(*n);
+        s.count = *n;
       } else if (inject && key == "for") {
         const auto t = want_time();
         if (!t) return false;
@@ -342,7 +333,7 @@ class Parser {
       } else if (inject && key == "copies") {
         const auto n = want_int(1);
         if (!n) return false;
-        s.copies = static_cast<int>(*n);
+        s.copies = *n;
       } else if (inject && key == "offset") {
         const auto n = want_int(0);
         if (!n) return false;
@@ -350,7 +341,7 @@ class Parser {
       } else if (inject && key == "batch") {
         const auto n = want_int(2);
         if (!n) return false;
-        s.batch = static_cast<int>(*n);
+        s.batch = *n;
       } else if (!inject && s.kind == StepKind::kExpect && key == "within") {
         const auto t = want_time();
         if (!t) return false;
@@ -368,7 +359,7 @@ class Parser {
       } else if (!inject && s.kind == StepKind::kExpect && key == "min") {
         const auto n = want_int(1);
         if (!n) return false;
-        s.min = static_cast<int>(*n);
+        s.min = *n;
       } else {
         error(line, toks[i].col, "parse-error",
               "unknown option `" + key + "` for " +

@@ -200,12 +200,11 @@ bool Engine::handle_hello(std::size_t i, const Hello& h) {
     const std::string out = encode_frame(FrameType::kBye, encode_bye(reason));
     send_all(c.fd, out.data(), out.size());
   };
-  if (h.version < kMinProtocolVersion || h.version > kProtocolVersion) {
+  if (h.version != kProtocolVersion) {
     ++stats.version_rejected;
     if (opts_.flight) opts_.flight->record(FlightEvent::kVersionReject);
     bye("version mismatch: peer v" + std::to_string(h.version) +
-        ", expected v" + std::to_string(kMinProtocolVersion) + "-v" +
-        std::to_string(kProtocolVersion));
+        ", expected v" + std::to_string(kProtocolVersion));
     return false;
   }
   if (!opts_.token.empty() && !tokens_equal(h.token, opts_.token)) {
@@ -217,9 +216,6 @@ bool Engine::handle_hello(std::size_t i, const Hello& h) {
     bye("auth failed");
     return false;
   }
-  // The connection speaks the lower of the two versions; v3-only frames
-  // (STATS) simply never flow on a v2 link.
-  c.version = h.version;
   if (h.role == "worker") {
     std::string id = h.id;
     auto it = id.empty() ? workers_.end() : workers_.find(id);
@@ -352,8 +348,8 @@ bool Engine::handle_frame(std::size_t i, const Frame& f) {
       if (opts_.flight) opts_.flight->record(FlightEvent::kBye, c.worker_id);
       return false;  // graceful leave: forget, outstanding requeues now
     default:
-      // Well-framed but not ours to handle (a newer peer's frame in the
-      // reserved window): count and carry on. The link stays up.
+      // Well-framed but not ours to handle (a type in the reserved
+      // window): count and carry on. The link stays up.
       ++stats.unknown_frames;
       return true;
   }

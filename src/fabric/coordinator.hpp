@@ -65,7 +65,7 @@ struct FabricStats {
   int auth_rejected = 0;       // HELLOs refused by token mismatch
   int addr_rejected = 0;       // TCP peers refused by the allowlist
   int handshake_timeouts = 0;  // pre-HELLO connections dropped as stalled
-  int unknown_frames = 0;      // well-framed types we ignored (v2/v4 peers)
+  int unknown_frames = 0;      // well-framed types we ignored
 
   /// One flat JSON object, keys sorted by name — the form `--metrics-out`
   /// and the daemon's metrics artifact embed under "fabric".
@@ -188,7 +188,7 @@ class Engine {
 
   /// Latest STATS snapshot per worker id. Snapshots are cumulative, so
   /// each entry *replaces* its predecessor; a worker that never shipped
-  /// one (v2 peer, or died early) is simply absent.
+  /// one (stats off, or died early) is simply absent.
   [[nodiscard]] const std::map<std::string, std::vector<obs::MetricSample>>&
   worker_stats() const {
     return worker_stats_;
@@ -212,7 +212,6 @@ class Engine {
     enum class Role { kUnknown, kWorker, kClient } role = Role::kUnknown;
     std::string name;
     std::string worker_id;         // key into workers_ once handshaken
-    std::uint32_t version = kProtocolVersion;  // negotiated on HELLO
     int pending_want = 0;          // parked LEASE request
     std::chrono::steady_clock::time_point last_seen;
     /// Accept time: the handshake deadline anchors here, so a pre-auth

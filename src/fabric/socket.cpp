@@ -12,6 +12,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "campaign/kv.hpp"
+
 namespace pfi::fabric {
 
 namespace {
@@ -81,14 +83,16 @@ bool Listener::open(const std::string& address, std::string* err) {
   }
 
   std::string host, port;
-  if (!split_host_port(address, &host, &port)) {
+  std::uint16_t port_num = 0;
+  if (!split_host_port(address, &host, &port) ||
+      !campaign::kv::to_int(port, &port_num)) {
     *err = "fabric: bad address (want HOST:PORT or unix:PATH): " + address;
     return false;
   }
   sockaddr_in sa;
   std::memset(&sa, 0, sizeof sa);
   sa.sin_family = AF_INET;
-  sa.sin_port = htons(static_cast<std::uint16_t>(std::atoi(port.c_str())));
+  sa.sin_port = htons(port_num);
   if (inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1) {
     *err = "fabric: bad listen host (want a dotted quad): " + host;
     return false;

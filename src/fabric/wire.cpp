@@ -2,10 +2,12 @@
 
 #include <cstring>
 
+#include "campaign/kv.hpp"
 #include "campaign/sandbox.hpp"
-#include "fabric/kv.hpp"
 
 namespace pfi::fabric {
+
+namespace kv = campaign::kv;
 
 namespace {
 
@@ -16,27 +18,6 @@ bool known_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(FrameType::kHello) &&
          t <= kMaxReservedFrameType;
 }
-
-/// Accumulates numeric-parse health across one decoder: any token that
-/// over/underflows or carries trailing bytes poisons `ok`, and the decoder
-/// rejects the whole frame instead of acting on a misparsed value.
-struct Num {
-  bool ok = true;
-
-  std::int64_t i64(const std::string& v) {
-    bool good = true;
-    const std::int64_t r = kv::to_i64(v, &good);
-    ok = ok && good;
-    return r;
-  }
-
-  std::uint64_t u64(const std::string& v) {
-    bool good = true;
-    const std::uint64_t r = kv::to_u64(v, &good);
-    ok = ok && good;
-    return r;
-  }
-};
 
 }  // namespace
 
@@ -98,11 +79,11 @@ bool decode_hello(std::string_view payload, Hello* out) {
   kv::Scan scan{payload};
   std::string key, value;
   bool has_version = false;
-  Num num;
+  kv::Num num;
   Hello h;
   while (scan.next(&key, &value)) {
     if (key == "v") {
-      h.version = static_cast<std::uint32_t>(num.u64(value));
+      num.read(value, &h.version);
       has_version = true;
     } else if (key == "role") {
       h.role = value;
@@ -145,11 +126,7 @@ bool decode_lease_request(std::string_view payload, int* want) {
   kv::Scan scan{payload};
   std::string key, value;
   while (scan.next(&key, &value)) {
-    if (key == "want") {
-      Num num;
-      *want = static_cast<int>(num.i64(value));
-      return num.ok && *want > 0;
-    }
+    if (key == "want") return kv::to_int(value, want) && *want > 0;
   }
   return false;
 }
@@ -183,17 +160,17 @@ bool decode_lease_grant(std::string_view payload, int* job,
   int pending_slot = -1;
   std::int64_t pending_epoch = 0;
   bool have_slot = false, have_epoch = false;
-  Num num;
+  kv::Num num;
   while (scan.next(&key, &value)) {
     if (key == "job") {
-      *job = static_cast<int>(num.i64(value));
+      num.read(value, job);
     } else if (key == "n") {
-      n = num.u64(value);
+      num.read(value, &n);
     } else if (key == "slot") {
-      pending_slot = static_cast<int>(num.i64(value));
+      num.read(value, &pending_slot);
       have_slot = true;
     } else if (key == "epoch") {
-      pending_epoch = num.i64(value);
+      num.read(value, &pending_epoch);
       have_epoch = true;
     } else if (key == "cell") {
       campaign::RunCell cell;
@@ -219,8 +196,7 @@ std::string encode_cell(const campaign::RunCell& cell) {
   kv::put(&out, "oracle", cell.oracle);
   kv::put(&out, "vendor", cell.vendor);
   kv::put(&out, "script_file", cell.script_file);
-  // New axes only travel when set — a v3 peer without them never sees the
-  // keys, and older decoders skip unknown keys.
+  // Optional axes only travel when set; decoders skip unknown keys.
   if (!cell.conform_file.empty()) kv::put(&out, "conform", cell.conform_file);
   if (!cell.scenario.empty()) kv::put(&out, "scenario", cell.scenario);
   kv::put_u64(&out, "seed", cell.seed);
@@ -268,24 +244,24 @@ bool decode_event(std::string_view payload, campaign::FaultEvent* out) {
   kv::Scan scan{payload};
   std::string key, value;
   campaign::FaultEvent e;
-  Num num;
+  kv::Num num;
   while (scan.next(&key, &value)) {
     if (key == "type") {
       e.type = value;
     } else if (key == "kind") {
       if (!parse_kind(value, &e.kind)) return false;
     } else if (key == "occ") {
-      e.occurrence = static_cast<int>(num.i64(value));
+      num.read(value, &e.occurrence);
     } else if (key == "send") {
       e.on_send = value == "1";
     } else if (key == "delay") {
-      e.delay = num.i64(value);
+      num.read(value, &e.delay);
     } else if (key == "copies") {
-      e.copies = static_cast<int>(num.i64(value));
+      num.read(value, &e.copies);
     } else if (key == "corrupt_off") {
-      e.corrupt_offset = static_cast<std::size_t>(num.u64(value));
+      num.read(value, &e.corrupt_offset);
     } else if (key == "batch") {
-      e.batch = static_cast<int>(num.i64(value));
+      num.read(value, &e.batch);
     }
   }
   if (!num.ok) return false;
@@ -300,10 +276,10 @@ bool decode_cell(std::string_view payload, campaign::RunCell* out) {
   std::string key, value;
   campaign::RunCell cell;
   std::uint64_t nev = 0;
-  Num num;
+  kv::Num num;
   while (scan.next(&key, &value)) {
     if (key == "index") {
-      cell.index = static_cast<int>(num.i64(value));
+      num.read(value, &cell.index);
     } else if (key == "id") {
       cell.id = value;
     } else if (key == "protocol") {
@@ -319,27 +295,27 @@ bool decode_cell(std::string_view payload, campaign::RunCell* out) {
     } else if (key == "scenario") {
       cell.scenario = value;
     } else if (key == "seed") {
-      cell.seed = num.u64(value);
+      num.read(value, &cell.seed);
     } else if (key == "nodes") {
-      cell.nodes = static_cast<int>(num.i64(value));
+      num.read(value, &cell.nodes);
     } else if (key == "target") {
-      cell.target_node = static_cast<int>(num.i64(value));
+      num.read(value, &cell.target_node);
     } else if (key == "warmup") {
-      cell.warmup = num.i64(value);
+      num.read(value, &cell.warmup);
     } else if (key == "duration") {
-      cell.duration = num.i64(value);
+      num.read(value, &cell.duration);
     } else if (key == "jitter") {
-      cell.jitter = num.i64(value);
+      num.read(value, &cell.jitter);
     } else if (key == "buggy") {
       cell.buggy = value == "1";
     } else if (key == "timeout_ms") {
-      cell.timeout_ms = static_cast<int>(num.i64(value));
+      num.read(value, &cell.timeout_ms);
     } else if (key == "max_events") {
-      cell.max_sim_events = num.u64(value);
+      num.read(value, &cell.max_sim_events);
     } else if (key == "timeline") {
       cell.capture_timeline = value == "1";
     } else if (key == "nev") {
-      nev = num.u64(value);
+      num.read(value, &nev);
     } else if (key == "ev") {
       campaign::FaultEvent e;
       if (!decode_event(value, &e)) return false;
@@ -371,15 +347,15 @@ bool decode_result(std::string_view payload, int* job, int* slot,
   bool have_slot = false, have_res = false;
   *job = 0;
   *epoch = 0;
-  Num num;
+  kv::Num num;
   while (scan.next(&key, &value)) {
     if (key == "job") {
-      *job = static_cast<int>(num.i64(value));
+      num.read(value, job);
     } else if (key == "slot") {
-      *slot = static_cast<int>(num.i64(value));
+      num.read(value, slot);
       have_slot = true;
     } else if (key == "epoch") {
-      *epoch = num.i64(value);
+      num.read(value, epoch);
     } else if (key == "res") {
       if (!campaign::wire_decode(value, out)) return false;
       have_res = true;
@@ -396,8 +372,7 @@ std::string encode_stats(const std::vector<obs::MetricSample>& samples) {
   for (const obs::MetricSample& m : samples) {
     std::string entry;
     kv::put(&entry, "name", m.name);
-    const char kind[2] = {m.kind, '\0'};
-    kv::put(&entry, "k", kind);
+    kv::put(&entry, "k", std::string_view(&m.kind, 1));
     kv::put_u64(&entry, "v", m.value);
     kv::put(&out, "s", entry);
   }
@@ -411,10 +386,10 @@ bool decode_stats(std::string_view payload,
   std::string key, value;
   std::uint64_t n = 0;
   bool have_n = false;
-  Num num;
+  kv::Num num;
   while (scan.next(&key, &value)) {
     if (key == "n") {
-      n = num.u64(value);
+      num.read(value, &n);
       have_n = true;
       if (n > kMaxStatsSamples) return false;
     } else if (key == "s") {
@@ -432,7 +407,7 @@ bool decode_stats(std::string_view payload,
           m.kind = iv[0];
           have_kind = true;
         } else if (ik == "v") {
-          m.value = num.u64(iv);
+          num.read(iv, &m.value);
           have_value = true;
         }
       }
@@ -474,7 +449,7 @@ std::string encode_submit(const Submit& s) {
   kv::put_i64(&out, "max_events", s.max_events);
   kv::put_i64(&out, "retries", s.retries);
   kv::put_i64(&out, "explore", s.explore);
-  if (s.max_workers > 0) kv::put_i64(&out, "max_workers", s.max_workers);
+  kv::put_i64(&out, "max_workers", s.max_workers);
   for (const std::string& k : s.have) kv::put(&out, "have", k);
   return out;
 }
@@ -484,7 +459,7 @@ bool decode_submit(std::string_view payload, Submit* out) {
   std::string key, value;
   Submit s;
   bool have_spec = false;
-  Num num;
+  kv::Num num;
   while (scan.next(&key, &value)) {
     if (key == "spec") {
       s.spec_text = value;
@@ -492,15 +467,15 @@ bool decode_submit(std::string_view payload, Submit* out) {
     } else if (key == "filter") {
       s.filter = value;
     } else if (key == "timeout_ms") {
-      s.timeout_ms = static_cast<int>(num.i64(value));
+      num.read(value, &s.timeout_ms);
     } else if (key == "max_events") {
-      s.max_events = num.i64(value);
+      num.read(value, &s.max_events);
     } else if (key == "retries") {
-      s.retries = static_cast<int>(num.i64(value));
+      num.read(value, &s.retries);
     } else if (key == "explore") {
-      s.explore = static_cast<int>(num.i64(value));
+      num.read(value, &s.explore);
     } else if (key == "max_workers") {
-      s.max_workers = static_cast<int>(num.i64(value));
+      num.read(value, &s.max_workers);
     } else if (key == "have") {
       s.have.push_back(value);
     }

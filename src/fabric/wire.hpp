@@ -4,7 +4,7 @@
 //
 //   uint32 length   (big endian; length = 1 + payload size)
 //   uint8  type     (FrameType)
-//   bytes  payload  (kv entries, see kv.hpp)
+//   bytes  payload  (kv entries, see campaign/kv.hpp)
 //
 // The conversation (docs/FABRIC.md has the full state machine):
 //
@@ -53,19 +53,19 @@
 //                           replies with a STATUS frame carrying one JSON
 //                           document (queue depth, jobs, per-worker state)
 //
-// and relaxes two v2 rules so mixed fleets degrade instead of dying:
-// HELLO version negotiation accepts [kMinProtocolVersion,
-// kProtocolVersion] (the connection speaks the lower of the two), and a
-// well-framed but unknown frame type in the reserved window is ignored
-// with a counter bump instead of corrupting the stream — a v2 peer that
-// never sends STATS, or a v4 peer that sends something newer, keeps its
-// link either way.
+// A HELLO must carry exactly kProtocolVersion; anything else earns a BYE
+// naming the expected version. A well-framed but unknown frame type in the
+// reserved window is ignored with a counter bump instead of corrupting the
+// stream.
 //
 // Cells and results travel as kv payloads; RunResult reuses the fork
 // sandbox's exact serialisation (campaign/sandbox.hpp wire_encode), so a
 // record that crossed the fabric is byte-identical to one computed
 // in-process — the whole "merging distributed results is a dedupe and a
-// sort" story rests on that.
+// sort" story rests on that. Every decoder reads numbers through the strict
+// reads of campaign/kv.hpp into the field's own type: a token that is not
+// a number, carries trailing bytes or does not fit the field rejects the
+// whole frame.
 #pragma once
 
 #include <cstdint>
@@ -81,12 +81,8 @@ namespace pfi::fabric {
 
 /// Bumped on any incompatible change to frames or payloads (v2 added auth
 /// tokens, worker ids, lease epochs, job-scoped leases, artifact chunks;
-/// v3 added STATS/STATUS and ranged negotiation). A listener accepts any
-/// HELLO version in [kMinProtocolVersion, kProtocolVersion] and the
-/// connection speaks the lower of the two — v3-only frames simply never
-/// flow on a v2 link. Anything older earns a BYE naming both versions.
+/// v3 added STATS/STATUS). Both ends speak exactly this version.
 constexpr std::uint32_t kProtocolVersion = 3;
-constexpr std::uint32_t kMinProtocolVersion = 2;
 
 /// Frames above this are garbage (or an attack), not campaigns.
 constexpr std::uint32_t kMaxFramePayload = 64u << 20;

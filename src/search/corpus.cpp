@@ -3,11 +3,12 @@
 #include <algorithm>
 
 #include "campaign/json.hpp"
-#include "search/jsonv.hpp"
+#include "campaign/kv.hpp"
 
 namespace pfi::search {
 
 using campaign::FaultEvent;
+using campaign::json::Value;
 using campaign::FaultSchedule;
 using core::scriptgen::FaultKind;
 
@@ -26,15 +27,15 @@ bool kind_from_string(const std::string& s, FaultKind* out) {
   return true;
 }
 
-std::optional<FaultSchedule> schedule_from_value(const jsonv::Value& arr,
+std::optional<FaultSchedule> schedule_from_value(const Value& arr,
                                                  std::string* err) {
-  if (arr.kind != jsonv::Value::Kind::kArray) {
+  if (arr.kind != Value::Kind::kArray) {
     if (err != nullptr) *err = "schedule is not a JSON array";
     return std::nullopt;
   }
   FaultSchedule s;
-  for (const jsonv::Value& ev : arr.items) {
-    if (ev.kind != jsonv::Value::Kind::kObject) {
+  for (const Value& ev : arr.items) {
+    if (ev.kind != Value::Kind::kObject) {
       if (err != nullptr) *err = "schedule event is not an object";
       return std::nullopt;
     }
@@ -44,15 +45,18 @@ std::optional<FaultSchedule> schedule_from_value(const jsonv::Value& arr,
       if (err != nullptr) *err = "schedule event has a bad type/fault field";
       return std::nullopt;
     }
-    e.occurrence = static_cast<int>(ev.int_or("occurrence", 1));
     e.on_send = ev.str_or("side", "send") == "send";
-    if (const auto* d = ev.find("delay_ms")) {
-      e.delay = sim::msec(static_cast<std::int64_t>(d->number));
+    const Value* d = ev.find("delay_ms");
+    if (!ev.int_field("occurrence", &e.occurrence) ||
+        !ev.int_field("copies", &e.copies) ||
+        !ev.int_field("offset", &e.corrupt_offset) ||
+        !ev.int_field("batch", &e.batch) ||
+        (d != nullptr &&
+         (d->kind != Value::Kind::kNumber ||
+          !campaign::kv::to_scaled(d->text, sim::kMillisecond, &e.delay)))) {
+      if (err != nullptr) *err = "schedule event has a bad numeric field";
+      return std::nullopt;
     }
-    e.copies = static_cast<int>(ev.int_or("copies", e.copies));
-    e.corrupt_offset =
-        static_cast<std::size_t>(ev.int_or("offset", 0));
-    e.batch = static_cast<int>(ev.int_or("batch", e.batch));
     s.events.push_back(std::move(e));
   }
   return s;
@@ -62,7 +66,7 @@ std::optional<FaultSchedule> schedule_from_value(const jsonv::Value& arr,
 
 std::optional<FaultSchedule> schedule_from_json(const std::string& array_json,
                                                 std::string* err) {
-  const auto v = jsonv::parse(array_json);
+  const auto v = campaign::json::parse(array_json);
   if (!v) {
     if (err != nullptr) *err = "malformed schedule JSON";
     return std::nullopt;
@@ -132,8 +136,8 @@ bool Corpus::load_jsonl(const std::string& text, std::string* err) {
     at = end + 1;
     ++lineno;
     if (line.empty()) continue;
-    const auto v = jsonv::parse(line);
-    if (!v || v->kind != jsonv::Value::Kind::kObject) {
+    const auto v = campaign::json::parse(line);
+    if (!v || v->kind != Value::Kind::kObject) {
       if (err != nullptr) {
         *err = "corpus line " + std::to_string(lineno) + ": malformed JSON";
       }
@@ -147,12 +151,17 @@ bool Corpus::load_jsonl(const std::string& text, std::string* err) {
       }
       return false;
     }
-    e.iteration = static_cast<int>(v->int_or("iter", 0));
-    e.parent = static_cast<int>(v->int_or("parent", -1));
+    if (!v->int_field("iter", &e.iteration) ||
+        !v->int_field("parent", &e.parent)) {
+      if (err != nullptr) {
+        *err = "corpus line " + std::to_string(lineno) + ": bad iter/parent";
+      }
+      return false;
+    }
     e.op = v->str_or("op", "seed");
     if (const auto* feats = v->find("features")) {
-      for (const jsonv::Value& f : feats->items) {
-        if (f.kind == jsonv::Value::Kind::kString) e.features.push_back(f.text);
+      for (const Value& f : feats->items) {
+        if (f.kind == Value::Kind::kString) e.features.push_back(f.text);
       }
     }
     const auto* sched = v->find("schedule");

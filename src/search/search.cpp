@@ -12,7 +12,6 @@
 #include "lint/canonical.hpp"
 #include "lint/lint.hpp"
 #include "obs/coverage.hpp"
-#include "search/jsonv.hpp"
 #include "search/mutate.hpp"
 #include "search/prng.hpp"
 
@@ -69,34 +68,32 @@ RunCell cell_for(const RunCell& tmpl, const FaultSchedule& schedule,
   return c;
 }
 
-/// Reconstruct a Coverage from a journaled record's "coverage" object.
-/// Structural parse of our own writer's output; empty Coverage when the
-/// record carries none (timeout/error skeletons).
-obs::Coverage coverage_from_record(const std::string& record) {
-  obs::Coverage cov;
-  const auto doc = jsonv::parse(record);
-  if (!doc) return cov;
-  const jsonv::Value* c = doc->find("coverage");
-  if (c == nullptr || c->kind != jsonv::Value::Kind::kObject) return cov;
-  cov.digest = c->str_or("digest", "");
-  if (const auto* types = c->find("msg_types")) {
-    for (const auto& [k, v] : types->fields) {
-      cov.msg_types.emplace_back(k, static_cast<std::uint64_t>(v.number));
-    }
-  }
-  if (const auto* actions = c->find("actions")) {
-    for (const auto& [k, v] : actions->fields) {
-      cov.actions.emplace_back(k, static_cast<std::uint64_t>(v.number));
+/// Reconstruct a Coverage from a journaled record's "coverage" object;
+/// empty when the record carries none (timeout/error skeletons). False
+/// when a count is not an exact u64.
+bool coverage_from_record(const campaign::json::Value& record,
+                          obs::Coverage* cov) {
+  using Kind = campaign::json::Value::Kind;
+  const campaign::json::Value* c = record.find("coverage");
+  if (c == nullptr || c->kind != Kind::kObject) return true;
+  cov->digest = c->str_or("digest", "");
+  for (const auto& [name, dst] :
+       {std::pair{"msg_types", &cov->msg_types},
+        std::pair{"actions", &cov->actions}}) {
+    const campaign::json::Value* counts = c->find(name);
+    if (counts == nullptr) continue;
+    for (const auto& [k, v] : counts->fields) {
+      std::uint64_t n = 0;
+      if (!v.to_int(&n)) return false;
+      dst->emplace_back(k, n);
     }
   }
   if (const auto* trans = c->find("transitions")) {
-    for (const jsonv::Value& t : trans->items) {
-      if (t.kind == jsonv::Value::Kind::kString) {
-        cov.transitions.push_back(t.text);
-      }
+    for (const campaign::json::Value& t : trans->items) {
+      if (t.kind == Kind::kString) cov->transitions.push_back(t.text);
     }
   }
-  return cov;
+  return true;
 }
 
 /// What admission and violation handling need from a run, whether it came
@@ -109,13 +106,20 @@ struct Outcome {
 };
 
 Outcome outcome_from_record(const std::string& record) {
+  // An unreadable record (torn, or a count that is not an exact u64)
+  // counts as an errored run.
   Outcome o;
-  const std::string verdict =
-      campaign::json::probe_string_field(record, "verdict").value_or("error");
+  o.errored = true;
+  o.pass = false;
+  const auto doc = campaign::json::parse(record);
+  if (!doc || !coverage_from_record(*doc, &o.coverage)) {
+    o.coverage = {};
+    return o;
+  }
+  const std::string verdict = doc->str_or("verdict", "error");
   o.errored = verdict == "error";
   o.pass = verdict == "pass";
-  o.reason = campaign::json::probe_string_field(record, "reason").value_or("");
-  o.coverage = coverage_from_record(record);
+  o.reason = doc->str_or("reason", "");
   return o;
 }
 

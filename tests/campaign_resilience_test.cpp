@@ -15,6 +15,7 @@
 
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
+#include "campaign/kv.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sandbox.hpp"
 #include "campaign/schedule.hpp"
@@ -145,6 +146,34 @@ TEST(ResilienceSandbox, WireRoundTripIsExact) {
   RunResult junk;
   EXPECT_FALSE(wire_decode("", &junk));                  // no terminator
   EXPECT_FALSE(wire_decode("index 1\n7\n", &junk));      // truncated
+  // Every number, and every count inside a cvt/cva/met entry, is a strict
+  // read: one bad token rejects the record instead of decoding to a
+  // wrapped, saturated or truncated value.
+  const std::pair<const char*, const char*> bad[] = {
+      {"index", "99999999999999999999"},  // was -1
+      {"index", "abc"},                   // was 0
+      {"index", "4294967296"},            // past int
+      {"seed", "-17"},                    // was 2^64-17
+      {"seed", "18446744073709551616"},   // 2^64
+      {"msgs", "12junk"},                 // was 12
+      {"faults", " 3"},
+      {"serr", "+1"},
+      {"trace", ""},
+      {"sim", "1.5xyz"},                  // was 1.5
+      {"sim", "inf"},
+      {"cvt", "-5 ping"},                 // was 2^64-5
+      {"cvt", "ping"},                    // no count at all
+      {"cva", "1.5 drop"},
+      {"met", "c 99999999999999999999999 n"},  // saturated to 2^64-1
+      {"met", "c 5"},                          // no name
+      {"met", "cc 5 n"},                       // two-byte kind
+  };
+  for (const auto& [key, value] : bad) {
+    std::string bytes;
+    kv::put(&bytes, key, value);
+    kv::put(&bytes, "end", "");
+    EXPECT_FALSE(wire_decode(bytes, &junk)) << key << " " << value;
+  }
 }
 
 // The acceptance scenario: a campaign containing one hanging and one

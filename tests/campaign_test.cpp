@@ -67,6 +67,24 @@ TEST(CampaignSpec, RejectsGarbage) {
   EXPECT_FALSE(parse_spec("bogus_key 1\n", &err).has_value());
   // No fault axis at all.
   EXPECT_FALSE(parse_spec("protocol gmp\n", &err).has_value());
+  // Numbers are strict: a whole in-range integer or a positioned error,
+  // never a wrapped, saturated or truncated value.
+  ASSERT_TRUE(parse_spec("types a\n", &err).has_value()) << err;
+  for (const char* line :
+       {"seeds -5", "max_events -1", "duration_s abc", "duration_s 99999999999",
+        "nodes 3x", "jitter_ms 1e9", "retries +1"}) {
+    err.clear();
+    EXPECT_FALSE(parse_spec(std::string("types a\n") + line + "\n", &err)
+                     .has_value())
+        << line;
+    EXPECT_EQ(err.rfind("line 2: ", 0), 0u) << line << ": " << err;
+  }
+  // A range ending at the top u64 is finite.
+  const auto top = parse_spec(
+      "types a\nseeds 18446744073709551614..18446744073709551615\n", &err);
+  ASSERT_TRUE(top.has_value()) << err;
+  EXPECT_EQ(top->seeds, (std::vector<std::uint64_t>{18446744073709551614ull,
+                                                     18446744073709551615ull}));
 }
 
 TEST(CampaignPlan, ExpandsCrossProductDeterministically) {

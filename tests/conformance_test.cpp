@@ -128,6 +128,12 @@ TEST(PdtParse, NegativeTable) {
       {"duration 10s\nat 1s inject drop * batch 1\n", "parse-error", 2},
       {"duration 10s\nat 1s inject drop * within 2s\n", "parse-error", 2},
       {"duration 10s\nat 1s expect * copies 2\n", "parse-error", 2},
+      // Overflow is an error, not a wrapped value (both were signed UB).
+      {"duration 10s\nseed 99999999999999999999\n", "parse-error", 2},
+      {"duration 9999999999999h\n", "parse-error", 1},
+      {"duration 2562047788015216h\n", "parse-error", 1},  // wrapped to 1792s
+      {"duration 10s\nat 1s inject drop * count 4294967297\n", "parse-error",
+       2},
   };
   for (const Case& c : cases) {
     std::vector<lint::Diagnostic> diags;

@@ -23,12 +23,13 @@
 
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
+#include "campaign/kv.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/sandbox.hpp"
 #include "campaign/schedule.hpp"
 #include "campaign/spec.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/flight.hpp"
-#include "fabric/kv.hpp"
 #include "fabric/service.hpp"
 #include "fabric/socket.hpp"
 #include "fabric/wire.hpp"
@@ -42,6 +43,7 @@ using campaign::CampaignSpec;
 using campaign::RunCell;
 using campaign::RunResult;
 using core::scriptgen::FaultKind;
+namespace kv = campaign::kv;
 
 CampaignSpec small_gmp_spec() {
   CampaignSpec spec;
@@ -290,7 +292,7 @@ TEST(Fabric, VersionMismatchIsRejectedWithByeReason) {
   EXPECT_NE(reason.find("version mismatch"), std::string::npos) << reason;
   // The BYE names the version the coordinator wanted, so a stale binary's
   // operator knows what to rebuild.
-  EXPECT_NE(reason.find("expected v2"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("expected v3"), std::string::npos) << reason;
   close(fd);
 
   stop.store(true);
@@ -574,6 +576,79 @@ TEST(FabricWire, DecodersRejectOverflowedNumericFields) {
     kv::put(&p, "role", "worker");
     Hello h;
     EXPECT_FALSE(decode_hello(p, &h));
+  }
+  // In range for int64 but not for the int field it lands in: the read is
+  // range-checked against the field, never narrowed (slot 2^32 was slot 0).
+  {
+    std::string p;
+    kv::put(&p, "want", "4294967298");
+    int want = 0;
+    EXPECT_FALSE(decode_lease_request(p, &want));
+  }
+  {
+    std::string p;
+    kv::put(&p, "v", "4294967299");  // past the uint32 version field
+    kv::put(&p, "role", "worker");
+    Hello h;
+    EXPECT_FALSE(decode_hello(p, &h));
+  }
+  RunResult r;
+  r.id = "x";
+  const std::string res = campaign::wire_encode(r);
+  const auto result_with = [&](const char* key, const char* value) {
+    std::string p;
+    kv::put(&p, "job", "1");
+    kv::put(&p, "slot", "0");
+    kv::put(&p, "epoch", "1");
+    kv::put(&p, key, value);
+    kv::put(&p, "res", res);
+    int job = 0, slot = 0;
+    std::int64_t epoch = 0;
+    RunResult out;
+    return decode_result(p, &job, &slot, &epoch, &out);
+  };
+  EXPECT_TRUE(result_with("pad", "ignored"));
+  EXPECT_FALSE(result_with("slot", "4294967296"));
+  EXPECT_FALSE(result_with("job", "-2147483649"));
+  EXPECT_FALSE(result_with("epoch", "9223372036854775808"));
+  {
+    std::string p;  // the nested RunResult is strict too
+    kv::put(&p, "slot", "0");
+    std::string bad;
+    kv::put(&bad, "seed", "-17");
+    kv::put(&bad, "end", "");
+    kv::put(&p, "res", bad);
+    int job = 0, slot = 0;
+    std::int64_t epoch = 0;
+    RunResult out;
+    EXPECT_FALSE(decode_result(p, &job, &slot, &epoch, &out));
+  }
+  RunCell cell;
+  cell.id = "c";
+  cell.protocol = "gmp";
+  for (const char* timeout : {"2147483648", "1e3", "7ms"}) {
+    std::string p = encode_cell(cell);
+    kv::put(&p, "timeout_ms", timeout);
+    RunCell out;
+    EXPECT_FALSE(decode_cell(p, &out)) << timeout;
+  }
+  {
+    std::string p;
+    kv::put(&p, "job", "4294967296");
+    kv::put(&p, "n", "0");
+    int job = 0;
+    std::vector<int> slots;
+    std::vector<std::int64_t> epochs;
+    std::vector<RunCell> cells;
+    EXPECT_FALSE(decode_lease_grant(p, &job, &slots, &epochs, &cells));
+  }
+  {
+    Submit sub;
+    sub.spec_text = "protocol gmp\n";
+    std::string p = encode_submit(sub);
+    kv::put(&p, "timeout_ms", "99999999999");
+    Submit out;
+    EXPECT_FALSE(decode_submit(p, &out));
   }
 }
 
@@ -1015,7 +1090,7 @@ TEST(Fabric, StatsToJsonIsSortedAndComplete) {
             "\"workers_reattached\":0}");
 }
 
-TEST(Fabric, MixedVersionPeersAndUnknownFramesDegradeGracefully) {
+TEST(Fabric, OneVersionAndUnknownFramesDegradeGracefully) {
   const auto cells = campaign::plan(small_gmp_spec());
   Listener listener;
   std::string err;
@@ -1030,18 +1105,6 @@ TEST(Fabric, MixedVersionPeersAndUnknownFramesDegradeGracefully) {
         results[static_cast<std::size_t>(slot)] = std::move(r);
       },
       [&] { done = true; });
-
-  // A previous-revision (v2) worker joins fine: negotiation is a range,
-  // not an exact match.
-  const int fd = dial(listener.address(), &err);
-  ASSERT_GE(fd, 0) << err;
-  fcntl(fd, F_SETFL, O_NONBLOCK);
-  Hello hello;
-  hello.version = 2;
-  hello.role = "worker";
-  hello.name = "legacy";
-  std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
-  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
 
   FrameReader reader;
   Frame f;
@@ -1061,11 +1124,39 @@ TEST(Fabric, MixedVersionPeersAndUnknownFramesDegradeGracefully) {
     }
     return false;
   };
+
+  // The fabric speaks one version: a previous-revision (v2) worker is
+  // turned away, and the BYE names the only version accepted.
+  const int fd2 = dial(listener.address(), &err);
+  ASSERT_GE(fd2, 0) << err;
+  fcntl(fd2, F_SETFL, O_NONBLOCK);
+  Hello hello;
+  hello.version = 2;
+  hello.role = "worker";
+  hello.name = "legacy";
+  std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
+  ASSERT_TRUE(send_all(fd2, bytes.data(), bytes.size()));
+  FrameReader reader2;
+  ASSERT_TRUE(pump_until(fd2, &reader2, FrameType::kBye, 200));
+  const std::string reason = decode_bye(f.payload);
+  EXPECT_NE(reason.find("peer v2, expected v3"), std::string::npos) << reason;
+  EXPECT_EQ(engine.stats.version_rejected, 1);
+  EXPECT_EQ(engine.stats.workers_joined, 0);
+  close(fd2);
+
+  // A current worker joins.
+  const int fd = dial(listener.address(), &err);
+  ASSERT_GE(fd, 0) << err;
+  fcntl(fd, F_SETFL, O_NONBLOCK);
+  hello.version = kProtocolVersion;
+  hello.name = "current";
+  bytes = encode_frame(FrameType::kHello, encode_hello(hello));
+  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
   ASSERT_TRUE(pump_until(fd, &reader, FrameType::kHello, 200));
 
-  // An unknown reserved frame type (a future wire revision's) is ignored
-  // and counted; a malformed STATS payload likewise. Neither kills the
-  // link: a lease request sent *after* both still gets a grant.
+  // An unknown frame type in the reserved window is ignored and counted; a
+  // malformed STATS payload likewise. Neither kills the link: a lease
+  // request sent *after* both still gets a grant.
   bytes = encode_frame(static_cast<FrameType>(29), "from the future");
   ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
   bytes = encode_frame(FrameType::kStats, "definitely not kv");
@@ -1077,21 +1168,6 @@ TEST(Fabric, MixedVersionPeersAndUnknownFramesDegradeGracefully) {
   EXPECT_EQ(engine.stats.links_dropped, 0);
   EXPECT_EQ(engine.stats.workers_joined, 1);
   close(fd);
-
-  // A v1 peer is below the negotiation floor: BYE names the whole range.
-  const int fd2 = dial(listener.address(), &err);
-  ASSERT_GE(fd2, 0) << err;
-  fcntl(fd2, F_SETFL, O_NONBLOCK);
-  hello.version = 1;
-  hello.name = "ancient";
-  bytes = encode_frame(FrameType::kHello, encode_hello(hello));
-  ASSERT_TRUE(send_all(fd2, bytes.data(), bytes.size()));
-  FrameReader reader2;
-  ASSERT_TRUE(pump_until(fd2, &reader2, FrameType::kBye, 200));
-  const std::string reason = decode_bye(f.payload);
-  EXPECT_NE(reason.find("expected v2-v3"), std::string::npos) << reason;
-  EXPECT_EQ(engine.stats.version_rejected, 1);
-  close(fd2);
   engine.shutdown("test complete");
 }
 

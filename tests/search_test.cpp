@@ -203,6 +203,30 @@ TEST(SearchCorpus, AdmissionIsDigestUniqueAndJsonlRoundTrips) {
   Corpus bad;
   EXPECT_FALSE(bad.load_jsonl("{\"digest\":\"x\",\"schedule\":[", &err));
   EXPECT_FALSE(err.empty());
+  // So is a number that does not fit its field exactly: it used to be
+  // truncated through a double (4294967297 -> 1, 2.9 -> 2).
+  const std::string ev = "{\"type\":\"gmp-heartbeat\",\"fault\":\"delay\",";
+  for (const std::string& field :
+       {std::string("\"occurrence\":4294967297"), std::string("\"occurrence\":2.9"),
+        std::string("\"delay_ms\":2.9"),
+        std::string("\"delay_ms\":99999999999999999"),
+        std::string("\"copies\":1e1")}) {
+    const std::string sched = "[" + ev + field + "}]";
+    EXPECT_FALSE(schedule_from_json(sched, &err).has_value()) << field;
+    err.clear();
+    EXPECT_FALSE(bad.load_jsonl("{\"digest\":\"x\",\"schedule\":" + sched +
+                                    "}\n",
+                                &err))
+        << field;
+    EXPECT_NE(err.find("corpus line 1"), std::string::npos) << err;
+  }
+  EXPECT_FALSE(bad.load_jsonl(
+      "{\"digest\":\"x\",\"iter\":-2147483649,\"schedule\":[]}\n", &err));
+  const auto good = schedule_from_json(
+      "[" + ev + "\"occurrence\":3,\"delay_ms\":250}]", &err);
+  ASSERT_TRUE(good.has_value()) << err;
+  EXPECT_EQ(good->events[0].occurrence, 3);
+  EXPECT_EQ(good->events[0].delay, sim::msec(250));
 }
 
 TEST(SearchCorpus, RarityWeightingFavoursRareFeatures) {
