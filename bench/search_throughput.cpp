@@ -116,7 +116,10 @@ int main() {
   // here so the bench is self-contained): lint::canonical_key collapses
   // mutants onto already-executed class representatives, so part of the
   // budget is answered without a simulation. The violation set must come
-  // out byte-identical either way — pruning is pure throughput.
+  // out byte-identical either way — pruning is pure throughput. The two
+  // rows are the runs of
+  //   pfi_campaign scripts/campaign_gmp_omission.spec --explore=256 --seed 7
+  // without and with --no-prune.
   bench::title("Equivalence pruning (lint::canonical_key)");
   campaign::CampaignSpec golden;
   golden.name = "gmp-omission";

@@ -4,11 +4,15 @@
 //   $ ./pfi_campaign spec.file --filter gmp-commit --minimize --out out.json
 //   $ ./pfi_campaign spec.file --isolate --timeout-ms 5000 --retries 2
 //   $ ./pfi_campaign spec.file --resume        # skip journaled cells
+//   $ ./pfi_campaign spec.file --explore=128 --seed 7   # coverage search
+//   $ ./pfi_campaign spec.file --submit unix:/tmp/fabricd.sock
 //
 // Reads a campaign spec (docs/CAMPAIGN.md), expands the run matrix, executes
-// every cell on a worker pool, and writes one JSON document: per-run records
-// (byte-identical whatever --jobs was), a summary, and — with --minimize —
-// a 1-minimal reproduction schedule for each failing cell.
+// every cell on a worker pool (or over the fabric, docs/FABRIC.md), and
+// writes one JSON document: per-run records (byte-identical whatever --jobs
+// was), a summary, and — with --minimize — a 1-minimal reproduction
+// schedule for each failing cell. --explore swaps the matrix for the
+// coverage-guided search (docs/SEARCH.md) and its report.
 //
 // Resilience: --timeout-ms / --max-events arm a per-cell watchdog (overruns
 // become deterministic `timeout` error records), --isolate forks each cell
@@ -18,36 +22,34 @@
 // first Ctrl-C stops gracefully and flushes completed records, a second
 // kills immediately, and the next --resume run executes only the cells the
 // journal doesn't already hold.
+//
+// Exit status: 0 all pass, 1 any fail/error (search: any violation), 2
+// usage/spec/no-match, 130 interrupted.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include <cerrno>
-
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <fstream>
-#include <sstream>
-
 #include "campaign/executor.hpp"
+#include "campaign/flags.hpp"
 #include "campaign/journal.hpp"
-#include "campaign/json.hpp"
 #include "campaign/minimize.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/suite.hpp"
+#include "fabric/client.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/socket.hpp"
-#include "fabric/wire.hpp"
 #include "fabric/worker.hpp"
 #include "lint/canonical.hpp"
 #include "lint/lint.hpp"
@@ -79,10 +81,14 @@ struct Args {
   int jobs = 1;
   int max_minimize = 8;     // cap on cells minimised per campaign
   int timeout_ms = -1;      // -1 = keep the spec's value
-  long long max_events = -1;
+  std::int64_t max_events = -1;
   int retries = -1;
   int lint = 0;  // 0 = off, 1 = --lint (errors), 2 = --lint=strict
   int explore = 0;          // > 0: coverage-guided search with this budget
+  int batch = 16;           // --explore: mutants per generation
+  std::uint64_t seed = 0;   // --explore: search PRNG seed (0 = spec's)
+  bool no_prune = false;    // --explore: simulate equivalent mutants too
+  std::string emit_scripts;  // --explore: corpus schedules as .tcl here
   std::string corpus_out;   // --explore: write the corpus JSONL here
   std::string corpus_in;    // --explore: resume from this corpus JSONL
   int workers = 0;          // > 0: distribute over auto-spawned workers
@@ -103,626 +109,366 @@ struct Args {
   bool quiet = false;
 };
 
-int usage(int code) {
-  std::printf(
-      "usage: pfi_campaign <spec-file> [options]\n"
-      "       pfi_campaign --suite DIR [options]\n"
-      "  --jobs N          worker threads / child processes (default 1)\n"
-      "  --suite DIR       run DIR's *.pdt conformance timelines instead of\n"
-      "                    a spec: each timeline x each vendor TcpProfile is\n"
-      "                    one cell under the `conformance` oracle\n"
-      "                    (docs/CONFORMANCE.md)\n"
-      "  --filter SUBSTR   run only cells whose id contains SUBSTR\n"
-      "  --timeout-ms N    per-cell wall-clock budget; overruns become\n"
-      "                    deterministic `timeout` error records\n"
-      "  --max-events N    per-cell simulation-event budget (same reporting)\n"
-      "  --isolate         fork each cell into a child process: crashes\n"
-      "                    (SIGSEGV, aborts) become `signal` error records\n"
-      "  --retries N       re-run errored cells (never oracle failures) up\n"
-      "                    to N extra times with capped backoff\n"
-      "  --resume          skip cells whose record is already journaled;\n"
-      "                    implies journaling to <spec>.journal\n"
-      "  --journal FILE    journal path (enables journaling)\n"
-      "  --lint            statically check each cell's schedule/script\n"
-      "                    before running; violations become deterministic\n"
-      "                    `lint` error records and the cell is skipped.\n"
-      "                    Also reports groups of planned cells whose\n"
-      "                    canonical schedules are provably equivalent\n"
-      "  --lint=strict     as --lint, but warnings also reject a cell\n"
-      "  --explore=N       coverage-guided search instead of the static\n"
-      "                    matrix: spend N cell executions mutating fault\n"
-      "                    schedules toward unseen coverage digests; the\n"
-      "                    search report replaces the campaign report\n"
-      "  --corpus-out FILE (--explore) write the final corpus as JSONL\n"
-      "  --corpus-in FILE  (--explore) resume from a corpus JSONL\n"
-      "  --minimize        delta-debug each failing schedule to a minimal\n"
-      "                    reproduction (schedule-mode cells only)\n"
-      "  --max-minimize N  minimise at most N failing cells (default 8)\n"
-      "  --out FILE        write the JSON report to FILE (default stdout)\n"
-      "  --metrics-out FILE  write campaign-merged metrics (counters sum,\n"
-      "                    gauges max across cells) as one JSON document\n"
-      "  --timeline FILE   write a Chrome trace-event timeline of the\n"
-      "                    executed cells (open in about:tracing / Perfetto);\n"
-      "                    with --workers, fabric flight events splice in as\n"
-      "                    their own process lane\n"
-      "  --flight-out FILE write the fabric flight recorder (control-plane\n"
-      "                    events: connects, grants, results, requeues...) as\n"
-      "                    JSONL; side channel only, never affects the report\n"
-      "  --workers N       distribute cells over N auto-spawned local worker\n"
-      "                    processes (docs/FABRIC.md); the report is\n"
-      "                    byte-identical to --jobs 1\n"
-      "  --listen ADDR     coordinate over ADDR (HOST:PORT or unix:PATH) so\n"
-      "                    external pfi_worker processes can join; combines\n"
-      "                    with --workers N local ones\n"
-      "  --token SECRET    fabric shared secret: required of every worker\n"
-      "                    (--workers/--listen) and presented to the daemon\n"
-      "                    (--submit); or set PFI_FABRIC_TOKEN\n"
-      "  --heartbeat-ms N  auto-spawned workers' beat interval (default 500)\n"
-      "  --dead-after-ms N worker silence threshold (default 5000)\n"
-      "  --reconnect-grace-ms N  how long a disconnected worker may stay\n"
-      "                    away before its leases requeue (default:\n"
-      "                    dead-after-ms)\n"
-      "  --submit ADDR     send the spec to a pfi_fabricd daemon at ADDR\n"
-      "                    (HOST:PORT or unix:PATH) instead of executing\n"
-      "                    locally; streams progress and live journal\n"
-      "                    chunks, writes the returned artifacts to\n"
-      "                    --out/--journal/--metrics-out; with --resume,\n"
-      "                    sends journaled keys so only the rest execute\n"
-      "  --max-workers N   (--submit) cap the distinct workers serving this\n"
-      "                    job so concurrent jobs share the pool\n"
-      "  --status ADDR     query a pfi_fabricd daemon's STATUS API and print\n"
-      "                    the JSON reply (queue depth, jobs, workers, fleet\n"
-      "                    metrics) to --out or stdout; no spec needed\n"
-      "  --merge-journals  treat the positional arguments as journal JSONL\n"
-      "                    files: dedupe by content key, sort, write one\n"
-      "                    byte-deterministic journal to --out (or stdout)\n"
-      "  --list            print the planned cell ids and exit\n"
-      "  --quiet           no progress output on stderr\n");
-  return code;
+/// The search parameters only a local --explore run reads: SUBMIT carries
+/// the budget alone.
+constexpr const char* kExploreOnly[] = {"--batch", "--seed", "--no-prune",
+                                        "--emit-scripts"};
+
+pfi::campaign::flags::Parser make_parser(Args* a) {
+  namespace f = pfi::campaign::flags;
+  return f::Parser(
+      "pfi_campaign",
+      {"<spec-file> [options]", "--suite DIR [options]",
+       "--status ADDR [--token SECRET] [--out FILE]",
+       "--merge-journals JOURNAL... [--out FILE]"},
+      {
+      f::number("--jobs", "N", "worker threads / child processes", &a->jobs),
+      f::text("--suite", "DIR", "run DIR's .pdt timelines x each vendor",
+              &a->suite),
+      f::text("--filter", "SUBSTR", "run only cells whose id contains SUBSTR",
+              &a->filter),
+      f::number("--timeout-ms", "N", "per-cell wall-clock budget",
+                &a->timeout_ms),
+      f::number("--max-events", "N", "per-cell simulation-event budget",
+                &a->max_events),
+      f::toggle("--isolate", "fork each cell into a child process",
+                &a->isolate),
+      f::number("--retries", "N", "re-run errored cells up to N extra times",
+                &a->retries),
+      f::toggle("--resume", "skip journaled cells (journal: <spec>.journal)",
+                &a->resume),
+      f::text("--journal", "FILE", "journal path (enables journaling)",
+              &a->journal),
+      f::custom("--lint", "strict", "lint cells first (=strict: warnings too)",
+                "strict", [a](std::string_view v) {
+                  a->lint = v.empty() ? 1 : 2;
+                  return v.empty() || v == "strict";
+                }, true),
+      f::number("--explore", "N", "coverage-guided search of N executions",
+                &a->explore),
+      f::custom("--batch", "N", "(--explore) mutants per generation (16)",
+                "a positive integer", [a](std::string_view v) {
+                  return kv::to_int(v, &a->batch) && a->batch >= 1;
+                }),
+      f::number("--seed", "N", "(--explore) search PRNG seed", &a->seed),
+      f::toggle("--no-prune", "(--explore) simulate equivalent mutants too",
+                &a->no_prune),
+      f::text("--emit-scripts", "DIR", "(--explore) corpus schedules as .tcl",
+              &a->emit_scripts),
+      f::text("--corpus-out", "FILE", "(--explore) write the corpus JSONL",
+              &a->corpus_out),
+      f::text("--corpus-in", "FILE", "(--explore) resume from a corpus JSONL",
+              &a->corpus_in),
+      f::toggle("--minimize", "delta-debug each failing schedule",
+                &a->minimize),
+      f::number("--max-minimize", "N", "minimise at most N cells (8)",
+                &a->max_minimize),
+      f::text("--out", "FILE", "JSON report path (default stdout)", &a->out),
+      f::text("--metrics-out", "FILE", "campaign-merged metrics JSON",
+              &a->metrics_out),
+      f::text("--timeline", "FILE", "Chrome trace-event timeline",
+              &a->timeline),
+      f::text("--flight-out", "FILE", "fabric flight recorder JSONL",
+              &a->flight_out),
+      f::number("--workers", "N", "distribute over N local worker processes",
+                &a->workers),
+      f::text("--listen", "ADDR", "let external pfi_workers join at ADDR",
+              &a->listen),
+      f::text("--token", "SECRET", "fabric shared secret", &a->token,
+              "PFI_FABRIC_TOKEN"),
+      f::number("--heartbeat-ms", "N", "local workers' beat interval (500)",
+                &a->heartbeat_ms),
+      f::number("--dead-after-ms", "N", "worker silence threshold (5000)",
+                &a->dead_after_ms),
+      f::number("--reconnect-grace-ms", "N", "detached-worker grace",
+                &a->reconnect_grace_ms),
+      f::text("--submit", "ADDR", "run the spec on a pfi_fabricd daemon",
+              &a->submit),
+      f::number("--max-workers", "N", "(--submit) distinct-worker quota",
+                &a->max_workers),
+      f::text("--status", "ADDR", "print a daemon's STATUS JSON", &a->status),
+      f::toggle("--merge-journals", "merge the positional journal files",
+                &a->merge_journals),
+      f::toggle("--list", "print the planned cell ids and exit", &a->list),
+      f::toggle("--quiet", "no progress output on stderr", &a->quiet),
+      f::toggle("--workers-kill-one", "(test hook) SIGKILL a local worker",
+                &a->workers_kill_one),
+      f::number("--workers-flap", "N", "(test hook) cut a link every N results",
+                &a->workers_flap),
+      });
 }
 
-/// Write `bytes` to `path` ("" or "-" = stdout). False on I/O failure.
-bool write_file_or_stdout(const std::string& path, const std::string& bytes) {
-  if (path.empty() || path == "-") {
-    std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-    return true;
-  }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  return true;
+void print_error(const std::string& msg) {
+  std::fprintf(stderr, "error: %s\n", msg.c_str());
 }
 
-}  // namespace
+std::string journal_path_for(const Args& a) {
+  if (!a.journal.empty()) return a.journal;
+  return (a.suite.empty() ? a.spec_path : a.suite) + ".journal";
+}
 
-int main(int argc, char** argv) {
-  Args args;
-  std::vector<std::string> positionals;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (a == "--jobs") {
-      args.jobs = std::atoi(next());
-    } else if (a == "--suite") {
-      args.suite = next();
-    } else if (a == "--filter") {
-      args.filter = next();
-    } else if (a == "--timeout-ms") {
-      args.timeout_ms = std::atoi(next());
-    } else if (a == "--max-events") {
-      args.max_events = std::atoll(next());
-    } else if (a == "--isolate") {
-      args.isolate = true;
-    } else if (a == "--retries") {
-      args.retries = std::atoi(next());
-    } else if (a == "--resume") {
-      args.resume = true;
-    } else if (a == "--journal") {
-      args.journal = next();
-    } else if (a == "--lint") {
-      args.lint = 1;
-    } else if (a == "--lint=strict") {
-      args.lint = 2;
-    } else if (a.rfind("--explore=", 0) == 0) {
-      args.explore = std::atoi(a.c_str() + std::strlen("--explore="));
-    } else if (a == "--explore") {
-      args.explore = std::atoi(next());
-    } else if (a == "--corpus-out") {
-      args.corpus_out = next();
-    } else if (a == "--corpus-in") {
-      args.corpus_in = next();
-    } else if (a == "--minimize") {
-      args.minimize = true;
-    } else if (a == "--max-minimize") {
-      args.max_minimize = std::atoi(next());
-    } else if (a == "--out") {
-      args.out = next();
-    } else if (a == "--metrics-out") {
-      args.metrics_out = next();
-    } else if (a == "--timeline") {
-      args.timeline = next();
-    } else if (a == "--flight-out") {
-      args.flight_out = next();
-    } else if (a == "--status") {
-      args.status = next();
-    } else if (a == "--workers") {
-      args.workers = std::atoi(next());
-    } else if (a == "--listen") {
-      args.listen = next();
-    } else if (a == "--token") {
-      args.token = next();
-    } else if (a == "--heartbeat-ms") {
-      args.heartbeat_ms = std::atoi(next());
-    } else if (a == "--dead-after-ms") {
-      args.dead_after_ms = std::atoi(next());
-    } else if (a == "--reconnect-grace-ms") {
-      args.reconnect_grace_ms = std::atoi(next());
-    } else if (a == "--max-workers") {
-      args.max_workers = std::atoi(next());
-    } else if (a == "--workers-kill-one") {
-      // Test hook (CI worker-death smoke): SIGKILL one auto-spawned worker
-      // after the first result arrives; the survivors absorb its leases.
-      args.workers_kill_one = true;
-    } else if (a == "--workers-flap") {
-      // Test hook (CI/bench link-flap smoke): sever one worker's link every
-      // N results; the workers reconnect and the report must not change.
-      args.workers_flap = std::atoi(next());
-    } else if (a == "--submit") {
-      args.submit = next();
-    } else if (a == "--merge-journals") {
-      args.merge_journals = true;
-    } else if (a == "--list") {
-      args.list = true;
-    } else if (a == "--quiet") {
-      args.quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      return usage(0);
-    } else if (!a.empty() && a[0] == '-') {
-      return usage(2);
-    } else {
-      positionals.push_back(a);
-    }
-  }
-  if (args.token.empty()) {
-    const char* env = std::getenv("PFI_FABRIC_TOKEN");
-    if (env != nullptr) args.token = env;
-  }
-
-  if (!args.status.empty()) {
-    // STATUS mode: one round trip to a pfi_fabricd daemon — HELLO as a
-    // client, send an empty STATUS frame, print the JSON reply. No spec.
-    std::string serr;
-    const int fd = pfi::fabric::dial(args.status, &serr);
-    if (fd < 0) {
-      std::fprintf(stderr, "error: %s\n", serr.c_str());
-      return 2;
-    }
-    pfi::fabric::FrameReader reader;
-    auto read_frame = [&](pfi::fabric::Frame* out) {
-      for (;;) {
-        if (reader.next(out)) return true;
-        if (reader.corrupt()) return false;
-        char buf[65536];
-        const ssize_t n = recv(fd, buf, sizeof buf, 0);
-        if (n <= 0) {
-          if (n < 0 && errno == EINTR) continue;
-          return false;
-        }
-        reader.feed(buf, static_cast<std::size_t>(n));
-      }
-    };
-    pfi::fabric::Hello hello;
-    hello.role = "client";
-    hello.name = "pfi_campaign-status-" + std::to_string(getpid());
-    hello.token = args.token;
-    const std::string hf = pfi::fabric::encode_frame(
-        pfi::fabric::FrameType::kHello, pfi::fabric::encode_hello(hello));
-    pfi::fabric::Frame f;
-    if (!pfi::fabric::send_all(fd, hf.data(), hf.size()) || !read_frame(&f)) {
-      std::fprintf(stderr, "error: daemon handshake failed\n");
-      close(fd);
-      return 2;
-    }
-    if (f.type == pfi::fabric::FrameType::kBye) {
-      std::fprintf(stderr, "error: daemon refused: %s\n",
-                   pfi::fabric::decode_bye(f.payload).c_str());
-      close(fd);
-      return 2;
-    }
-    const std::string sf =
-        pfi::fabric::encode_frame(pfi::fabric::FrameType::kStatus, "");
-    if (!pfi::fabric::send_all(fd, sf.data(), sf.size())) {
-      std::fprintf(stderr, "error: status request failed\n");
-      close(fd);
-      return 2;
-    }
-    while (read_frame(&f)) {
-      if (f.type == pfi::fabric::FrameType::kStatus) {
-        write_file_or_stdout(args.out,
-                             pfi::fabric::decode_json_line(f.payload) + "\n");
-        close(fd);
-        return 0;
-      }
-      if (f.type == pfi::fabric::FrameType::kBye) break;
-    }
-    std::fprintf(stderr, "error: no STATUS reply (daemon too old?)\n");
-    close(fd);
+int run_status(const Args& a) {
+  pfi::fabric::Client client;
+  std::string err, status;
+  if (!client.connect(a.status, a.token,
+                      "pfi_campaign-status-" + std::to_string(getpid()),
+                      &err) ||
+      !client.status(&status, &err)) {
+    print_error(err);
     return 2;
   }
+  return write_file_or_stdout(a.out, status + "\n") ? 0 : 2;
+}
 
-  if (args.merge_journals) {
-    // Offline recovery: workers' (or interrupted runs') journals merge into
-    // one byte-deterministic normal form — dedupe by content key, sort.
-    if (positionals.empty()) return usage(2);
-    int conflicts = 0;
-    const auto merged = merge_journals(positionals, &conflicts);
-    if (!write_file_or_stdout(args.out, journal_jsonl(merged))) return 2;
-    if (!args.quiet) {
-      std::fprintf(stderr, "merged %zu journal(s): %zu record(s)%s\n",
-                   positionals.size(), merged.size(),
-                   conflicts > 0 ? (", " + std::to_string(conflicts) +
-                                    " conflicting record(s) dropped")
-                                       .c_str()
-                                 : "");
-    }
-    return conflicts > 0 ? 1 : 0;
+int run_merge(const Args& a, const std::vector<std::string>& journals) {
+  // Offline recovery: workers' (or interrupted runs') journals merge into
+  // one byte-deterministic normal form — dedupe by content key, sort.
+  int conflicts = 0;
+  const auto merged = merge_journals(journals, &conflicts);
+  if (!write_file_or_stdout(a.out, journal_jsonl(merged))) return 2;
+  if (!a.quiet) {
+    std::fprintf(stderr, "merged %zu journal(s): %zu record(s)%s\n",
+                 journals.size(), merged.size(),
+                 conflicts > 0 ? (", " + std::to_string(conflicts) +
+                                  " conflicting record(s) dropped")
+                                     .c_str()
+                               : "");
   }
+  return conflicts > 0 ? 1 : 0;
+}
 
-  if (!positionals.empty()) args.spec_path = positionals.front();
-  if (args.spec_path.empty() && args.suite.empty()) return usage(2);
-  if (!args.suite.empty() &&
-      (!args.spec_path.empty() || !args.submit.empty() || args.explore > 0)) {
-    std::fprintf(stderr,
-                 "error: --suite replaces the spec and runs locally; it "
-                 "combines with neither a spec file, --submit nor "
-                 "--explore\n");
-    return 2;
-  }
+/// Client mode: the daemon parses, plans and executes; we stream its
+/// progress and write the returned artifacts where the local flags would
+/// have put them.
+int run_submit(const Args& a) {
+  std::ifstream in(a.spec_path);
+  std::ostringstream text;
+  text << in.rdbuf();
 
+  pfi::fabric::Client client;
   std::string err;
-  std::optional<CampaignSpec> spec;
-  if (!args.suite.empty()) {
-    spec = suite_spec(args.suite);
-  } else {
-    spec = load_spec_file(args.spec_path, &err);
-    if (!spec) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      return 2;
+  if (!client.connect(a.submit, a.token,
+                      "pfi_campaign-" + std::to_string(getpid()), &err)) {
+    print_error(err);
+    return 2;
+  }
+  const bool journaling = a.resume || !a.journal.empty();
+  const std::string journal_path = journal_path_for(a);
+  pfi::fabric::Submit s;
+  s.spec_text = text.str();
+  s.filter = a.filter;
+  s.timeout_ms = a.timeout_ms;
+  s.max_events = a.max_events;
+  s.retries = a.retries;
+  s.explore = a.explore;
+  s.max_workers = a.max_workers;
+  if (a.resume) {
+    // Hand the daemon what we already hold: it executes only the rest.
+    // (A previous submit killed mid-stream left its delivered records in
+    // the journal — exactly the chunks the daemon streamed to us.)
+    for (const auto& [key, record] : load_journal(journal_path)) {
+      s.have.push_back(key);
     }
   }
-  // CLI overrides win over the spec's own resilience knobs.
-  if (args.timeout_ms >= 0) spec->timeout_ms = args.timeout_ms;
-  if (args.max_events >= 0) {
-    spec->max_sim_events = static_cast<std::uint64_t>(args.max_events);
-  }
-  const int retries = args.retries >= 0 ? args.retries : spec->retries;
-
-  if (!args.submit.empty()) {
-    // Client mode: the daemon parses, plans and executes; we stream its
-    // progress and write the returned artifacts where the local flags
-    // would have put them.
-    std::ifstream in(args.spec_path);
-    std::ostringstream text;
-    text << in.rdbuf();
-
-    const int fd = pfi::fabric::dial(args.submit, &err);
-    if (fd < 0) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      return 2;
-    }
-    pfi::fabric::FrameReader reader;
-    auto read_frame = [&](pfi::fabric::Frame* out) {
-      for (;;) {
-        if (reader.next(out)) return true;
-        if (reader.corrupt()) return false;
-        char buf[65536];
-        const ssize_t n = recv(fd, buf, sizeof buf, 0);
-        if (n <= 0) {
-          if (n < 0 && errno == EINTR) continue;
-          return false;
-        }
-        reader.feed(buf, static_cast<std::size_t>(n));
-      }
-    };
-    auto send_frame = [&](const std::string& bytes) {
-      return pfi::fabric::send_all(fd, bytes.data(), bytes.size());
-    };
-
-    pfi::fabric::Hello hello;
-    hello.role = "client";
-    hello.name = "pfi_campaign-" + std::to_string(getpid());
-    hello.token = args.token;
-    pfi::fabric::Frame f;
-    if (!send_frame(pfi::fabric::encode_frame(
-            pfi::fabric::FrameType::kHello,
-            pfi::fabric::encode_hello(hello))) ||
-        !read_frame(&f)) {
-      std::fprintf(stderr, "error: daemon handshake failed\n");
-      close(fd);
-      return 2;
-    }
-    if (f.type == pfi::fabric::FrameType::kBye) {
-      std::fprintf(stderr, "error: daemon refused: %s\n",
-                   pfi::fabric::decode_bye(f.payload).c_str());
-      close(fd);
-      return 2;
-    }
-
-    const bool journaling = args.resume || !args.journal.empty();
-    const std::string journal_path =
-        args.journal.empty() ? args.spec_path + ".journal" : args.journal;
-
-    pfi::fabric::Submit s;
-    s.spec_text = text.str();
-    s.filter = args.filter;
-    s.timeout_ms = args.timeout_ms;
-    s.max_events = args.max_events;
-    s.retries = args.retries;
-    s.explore = args.explore;
-    s.max_workers = args.max_workers;
-    if (args.resume) {
-      // Hand the daemon what we already hold: it executes only the rest.
-      // (A previous submit killed mid-stream left its delivered records in
-      // the journal — exactly the chunks the daemon streamed to us.)
-      for (const auto& [key, record] : load_journal(journal_path)) {
-        (void)record;
-        s.have.push_back(key);
-      }
-    }
-    if (!send_frame(pfi::fabric::encode_frame(
-            pfi::fabric::FrameType::kSubmit, pfi::fabric::encode_submit(s)))) {
-      std::fprintf(stderr, "error: submit failed\n");
-      close(fd);
-      return 2;
-    }
-
-    // Live journal stream: each chunk is one flushed record line, so a
-    // client killed mid-run already holds every record that reached it and
-    // the next --resume submit skips those cells. Opened lazily (first
-    // chunk or the final artifact); --resume appends to the prior journal,
-    // a fresh run truncates it.
-    FILE* jf = nullptr;
-    auto journal_write = [&](const std::string& bytes) {
-      if (!journaling) return;
-      if (jf == nullptr) {
-        jf = std::fopen(journal_path.c_str(), args.resume ? "a" : "w");
-        if (jf == nullptr) {
-          std::fprintf(stderr, "error: cannot write %s\n",
-                       journal_path.c_str());
-          return;
-        }
-      }
-      std::fwrite(bytes.data(), 1, bytes.size(), jf);
-      std::fflush(jf);
-    };
-
-    int rc = 2;  // no DONE = daemon died on us
-    while (read_frame(&f)) {
-      if (f.type == pfi::fabric::FrameType::kProgress) {
-        if (!args.quiet) {
-          std::fprintf(stderr, "  %s\n",
-                       pfi::fabric::decode_json_line(f.payload).c_str());
-        }
-      } else if (f.type == pfi::fabric::FrameType::kArtifact) {
-        std::string name, bytes, chunk;
-        if (!pfi::fabric::decode_artifact(f.payload, &name, &bytes, &chunk)) {
-          continue;
-        }
-        if (name == "report") {
-          if (!write_file_or_stdout(args.out, bytes)) rc = 2;
-        } else if (name == "journal") {
-          // Chunk or final document alike: append, dedupe on close. The
-          // final artifact re-sends this job's records, so a run whose
-          // chunks were lost still ends up with a complete journal.
-          journal_write(bytes);
-        } else if (name == "metrics" && !args.metrics_out.empty()) {
-          write_file_or_stdout(args.metrics_out, bytes);
-        } else if (name == "corpus" && !args.corpus_out.empty()) {
-          write_file_or_stdout(args.corpus_out, bytes);
-        }
-      } else if (f.type == pfi::fabric::FrameType::kDone) {
-        const std::string done = pfi::fabric::decode_json_line(f.payload);
-        const auto doc = json::parse(done);
-        const std::string status =
-            doc ? doc->str_or("status", "error") : "error";
-        if (!args.quiet) {
-          std::fprintf(stderr, "%s\n", done.c_str());
-        }
-        // Read only past the "error" status, so `doc` parsed. Counts
-        // default to 0 when absent; a malformed one reads as a failure.
-        const auto count = [&](const char* key) {
-          std::uint64_t n = 0;
-          return doc->int_field(key, &n) ? n : 1;
-        };
-        if (status == "error") {
-          const std::string msg = doc ? doc->str_or("error", "") : "";
-          if (!msg.empty()) std::fprintf(stderr, "error: %s\n", msg.c_str());
-          rc = 2;
-        } else if (status == "interrupted") {
-          rc = 130;
-        } else if (args.explore > 0) {
-          rc = count("violations") > 0 ? 1 : 0;
-        } else {
-          rc = count("fail") + count("error") > 0 ? 1 : 0;
-        }
-        break;
-      } else if (f.type == pfi::fabric::FrameType::kBye) {
-        break;
-      }
-    }
-    if (jf != nullptr) {
-      std::fclose(jf);
-      // The file now holds overlapping sets (prior records on --resume,
-      // streamed chunks, the final artifact). Rewrite as the sorted,
-      // deduped normal form every other journal consumer emits.
-      write_file_or_stdout(journal_path,
-                           journal_jsonl(load_journal(journal_path)));
-    }
-    close(fd);
-    return rc;
-  }
-
-  if ((args.workers > 0 || !args.listen.empty()) && args.explore > 0) {
-    std::fprintf(stderr,
-                 "error: --workers applies to the static matrix; distribute "
-                 "--explore through pfi_fabricd + --submit instead\n");
+  if (!client.submit(s, &err)) {
+    print_error(err);
     return 2;
   }
 
-  if (args.explore > 0) {
-    // Coverage-guided mode: the budget buys mutated schedules chasing
-    // unseen coverage digests instead of the planner's fixed matrix.
-    pfi::search::SearchOptions sopts;
-    sopts.budget = args.explore;
-    sopts.jobs = args.jobs;
-    sopts.isolate = args.isolate;
-    sopts.retries = retries;
-    sopts.max_minimize = args.max_minimize;
-    sopts.corpus_in = args.corpus_in;
-    if (args.resume || !args.journal.empty()) {
-      sopts.journal_path =
-          args.journal.empty() ? args.spec_path + ".journal" : args.journal;
+  // Live journal stream: each chunk is one record line, so a client killed
+  // mid-run already holds every record that reached it and the next
+  // --resume submit skips those cells. The first write truncates a fresh
+  // run's journal (--resume appends to the prior one); the final artifact
+  // re-sends this job's records, so lost chunks still end complete.
+  bool journal_started = false;
+  bool write_failed = false;
+  pfi::fabric::SubmitHandlers h;
+  h.on_artifact = [&](const std::string& name, const std::string& bytes,
+                      const std::string&) {
+    std::string path;
+    bool append = false;
+    if (name == "report") {
+      path = a.out.empty() ? "-" : a.out;
+    } else if (name == "journal" && journaling) {
+      path = journal_path;
+      append = a.resume || journal_started;
+      journal_started = true;
+    } else if (name == "metrics") {
+      path = a.metrics_out;
+    } else if (name == "corpus") {
+      path = a.corpus_out;
     }
-    if (!args.quiet) {
-      sopts.on_progress = [](const std::string& line) {
-        std::fprintf(stderr, "  %s\n", line.c_str());
-      };
+    if (!path.empty() && !write_file_or_stdout(path, bytes, append)) {
+      write_failed = true;
     }
-    sopts.should_stop = [] { return g_interrupted != 0; };
-    std::signal(SIGINT, handle_sigint);
-    const auto t0 = std::chrono::steady_clock::now();
-    const pfi::search::SearchResult sres = pfi::search::explore(*spec, sopts);
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    std::signal(SIGINT, SIG_DFL);
-    if (!sres.error.empty()) {
-      std::fprintf(stderr, "error: %s\n", sres.error.c_str());
-      if (sres.executed == 0) return 2;
-    }
-    if (!args.corpus_out.empty()) {
-      FILE* f = std::fopen(args.corpus_out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     args.corpus_out.c_str());
-        return 2;
-      }
-      const std::string jsonl = sres.corpus.to_jsonl();
-      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-      std::fclose(f);
-    }
-    const std::string doc = pfi::search::report_json(*spec, sopts, sres);
-    if (args.out.empty()) {
-      std::printf("%s\n", doc.c_str());
-    } else {
-      FILE* f = std::fopen(args.out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", args.out.c_str());
-        return 2;
-      }
-      std::fprintf(f, "%s\n", doc.c_str());
-      std::fclose(f);
-    }
-    if (!args.quiet) {
-      std::fprintf(stderr,
-                   "explore %s: %d executed -> %zu digests, %zu violation(s) "
-                   "in %.0f ms\n",
-                   spec->name.c_str(), sres.executed, sres.corpus.size(),
-                   sres.violations.size(), wall_ms);
-    }
-    if (sres.interrupted) return 130;
-    return sres.violations.empty() ? 0 : 1;
+  };
+  if (!a.quiet) {
+    h.on_progress = [](const std::string& json) {
+      std::fprintf(stderr, "  %s\n", json.c_str());
+    };
+    h.on_done = [](const std::string& json) {
+      std::fprintf(stderr, "%s\n", json.c_str());
+    };
   }
+  err.clear();
+  int rc = client.wait(h, &err);
+  if (!err.empty()) print_error(err);
+  if (journal_started) {
+    // The file now holds overlapping sets (prior records on --resume,
+    // streamed chunks, the final artifact). Rewrite as the sorted, deduped
+    // normal form every other journal consumer emits.
+    write_file_or_stdout(journal_path,
+                         journal_jsonl(load_journal(journal_path)));
+  }
+  return write_failed ? 2 : rc;
+}
 
+/// Coverage-guided mode: the budget buys mutated schedules chasing unseen
+/// coverage digests instead of the planner's fixed matrix.
+int run_explore(const Args& a, const CampaignSpec& spec, int retries) {
+  pfi::search::SearchOptions o;
+  o.budget = a.explore;
+  o.batch = a.batch;
+  o.seed = a.seed;
+  o.prune_equivalent = !a.no_prune;
+  o.jobs = a.jobs;
+  o.isolate = a.isolate;
+  o.retries = retries;
+  o.max_minimize = a.max_minimize;
+  o.corpus_in = a.corpus_in;
+  if (a.resume || !a.journal.empty()) o.journal_path = journal_path_for(a);
+  if (!a.quiet) {
+    o.on_progress = [](const std::string& line) {
+      std::fprintf(stderr, "  %s\n", line.c_str());
+    };
+  }
+  o.should_stop = [] { return g_interrupted != 0; };
+  std::signal(SIGINT, handle_sigint);
+  const auto t0 = std::chrono::steady_clock::now();
+  const pfi::search::SearchResult res = pfi::search::explore(spec, o);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  std::signal(SIGINT, SIG_DFL);
+  if (!res.error.empty()) {
+    print_error(res.error);
+    if (res.executed == 0) return 2;
+  }
+  if (!a.corpus_out.empty() &&
+      !write_file_or_stdout(a.corpus_out, res.corpus.to_jsonl())) {
+    return 2;
+  }
+  if (!a.emit_scripts.empty()) {
+    const int emitted =
+        pfi::search::write_corpus_scripts(res.corpus, a.emit_scripts);
+    if (emitted < 0) return 2;
+    if (!a.quiet) {
+      std::fprintf(stderr, "emitted %d corpus script(s) to %s\n", emitted,
+                   a.emit_scripts.c_str());
+    }
+  }
+  if (!write_file_or_stdout(
+          a.out, pfi::search::report_json(spec, o, res) + "\n")) {
+    return 2;
+  }
+  if (!a.quiet) {
+    std::fprintf(stderr,
+                 "explore %s: %d executed (%d cached, %d dup, %d "
+                 "lint-skipped) -> %zu digests, %zu violation(s) in %.0f ms\n",
+                 spec.name.c_str(), res.executed, res.journal_hits,
+                 res.duplicates, res.lint_skipped, res.corpus.size(),
+                 res.violations.size(), wall_ms);
+  }
+  if (res.interrupted) return 130;
+  return res.violations.empty() ? 0 : 1;
+}
+
+/// Group key of a planned schedule-mode cell for --lint's equivalence
+/// report; groups of 2+ are provably equivalent *runs*: cell_key over the
+/// canonicalized schedule folds in every run parameter (seed, warmup,
+/// duration, jitter, oracle, ...), so two cells only collide when nothing
+/// observable distinguishes them. The simulation seed is dropped from the
+/// key only when it is provably inert: the sim PRNG feeds jitter draws and
+/// corrupt actions' byte draws, so with jitter 0 and no kCorrupt event the
+/// seed cannot reach behaviour (the same fact behind the planner matrix
+/// collapsing to a handful of digests — docs/SEARCH.md).
+std::string equiv_group_key(const RunCell& cell) {
+  RunCell canon = cell;
+  canon.schedule = pfi::lint::canonicalize(canon.schedule, canon.protocol);
+  const bool seed_inert =
+      canon.jitter == 0 &&
+      std::none_of(canon.schedule.events.begin(), canon.schedule.events.end(),
+                   [](const auto& e) {
+                     return e.kind == pfi::core::scriptgen::FaultKind::kCorrupt;
+                   });
+  if (seed_inert) canon.seed = 0;
+  return cell_key(canon);
+}
+
+/// The static matrix: plan, lint, journal, execute (in process or over the
+/// fabric), then write the report and the side-channel documents.
+int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
+  std::string err;
   std::vector<RunCell> planned;
-  if (!args.suite.empty()) {
-    auto suite_cells = plan_suite(args.suite, &err);
+  if (!a.suite.empty()) {
+    auto suite_cells = plan_suite(a.suite, &err);
     if (!suite_cells) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
+      print_error(err);
       return 2;
     }
     planned = std::move(*suite_cells);
   } else {
-    planned = plan(*spec);
+    planned = plan(spec);
   }
-  const auto cells = filter_cells(std::move(planned), args.filter);
-  if (args.list) {
+  // plan(), plan_suite() and filter_cells() number cells 0..n-1, so a
+  // result's index is its slot in `cells`; a fabric result echoing any
+  // other index has no slot.
+  const auto cells = filter_cells(std::move(planned), a.filter);
+  const auto has_slot = [&](const RunResult& r) {
+    return r.index >= 0 && static_cast<std::size_t>(r.index) < cells.size();
+  };
+  if (a.list) {
     for (const auto& c : cells) std::printf("%s\n", c.id.c_str());
     return 0;
   }
   if (cells.empty()) {
-    std::fprintf(stderr, "error: no cells match\n");
+    print_error("no cells match");
     return 2;
   }
 
   // ---- journal: content keys, prior records, the todo subset --------------
-  const bool journaling = args.resume || !args.journal.empty();
-  const std::string journal_path =
-      !args.journal.empty()
-          ? args.journal
-          : (args.suite.empty() ? args.spec_path : args.suite) + ".journal";
+  const bool journaling = a.resume || !a.journal.empty();
+  const std::string journal_path = journal_path_for(a);
   std::vector<std::string> keys;
   std::map<std::string, std::string> prior;
   if (journaling) {
     keys.reserve(cells.size());
     for (const auto& c : cells) keys.push_back(cell_key(c));
-    if (args.resume) prior = load_journal(journal_path);
+    if (a.resume) prior = load_journal(journal_path);
   }
+  CampaignReport report;
+  report.jobs = std::max(1, a.jobs);
   // records[i] is plan slot i's JSON record; empty = not run (interrupted).
-  std::vector<std::string> records(cells.size());
+  report.records.resize(cells.size());
   std::vector<RunCell> todo;
-  int resumed = 0;
-  int lint_rejected = 0;
-  int equiv_cells = 0;
-  // Group key -> ids of planned schedule-mode cells in that class; groups
-  // of 2+ are provably equivalent *runs*: cell_key over the canonicalized
-  // schedule folds in every run parameter (seed, warmup, duration, jitter,
-  // oracle, ...), so two cells only collide when nothing observable
-  // distinguishes them. The simulation seed is dropped from the key only
-  // when it is provably inert: the sim PRNG feeds jitter draws and corrupt
-  // actions' byte draws, so with jitter 0 and no kCorrupt event the seed
-  // cannot reach behaviour (the same fact behind the planner matrix
-  // collapsing to a handful of digests — docs/SEARCH.md).
-  const auto equiv_group_key = [](const RunCell& cell) {
-    RunCell canon = cell;
-    canon.schedule =
-        pfi::lint::canonicalize(canon.schedule, canon.protocol);
-    const bool seed_inert =
-        canon.jitter == 0 &&
-        std::none_of(canon.schedule.events.begin(),
-                     canon.schedule.events.end(), [](const auto& e) {
-                       return e.kind ==
-                              pfi::core::scriptgen::FaultKind::kCorrupt;
-                     });
-    if (seed_inert) canon.seed = 0;
-    return cell_key(canon);
-  };
   std::map<std::string, std::vector<std::string>> equiv_groups;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto hit = journaling ? prior.find(keys[i]) : prior.end();
     if (hit != prior.end()) {
-      records[i] = rewrite_index(hit->second, cells[i].index);
-      ++resumed;
+      report.records[i] = rewrite_index(hit->second, cells[i].index);
+      ++report.resumed;
       continue;
     }
-    if (args.lint > 0) {
+    if (a.lint > 0) {
       // Lint runs sequentially over the plan, before the worker pool, so
       // rejected cells produce records that are byte-identical whatever
       // --jobs or --isolate was — the timeout-record discipline.
       const auto diags = pfi::lint::check_cell(cells[i]);
-      const bool reject = pfi::lint::has_errors(diags) ||
-                          (args.lint == 2 && !diags.empty());
-      if (reject) {
-        records[i] =
+      if (pfi::lint::has_errors(diags) || (a.lint == 2 && !diags.empty())) {
+        report.records[i] =
             record_json(pfi::lint::lint_error_result(cells[i], diags));
-        ++lint_rejected;
-        if (!args.quiet) {
+        ++report.lint_rejected;
+        if (!a.quiet) {
           std::fprintf(stderr, "  lint %-40s %s\n", cells[i].id.c_str(),
                        pfi::lint::format_text(diags.front()).c_str());
         }
@@ -734,52 +480,42 @@ int main(int argc, char** argv) {
     }
     todo.push_back(cells[i]);  // keeps its plan index
   }
-  if (args.lint > 0) {
-    for (const auto& [key, ids] : equiv_groups) {
-      if (ids.size() < 2) continue;
-      equiv_cells += static_cast<int>(ids.size()) - 1;
-      if (!args.quiet) {
-        std::string list = ids.front();
-        for (std::size_t i = 1; i < ids.size(); ++i) list += ", " + ids[i];
-        std::fprintf(stderr,
-                     "  lint %zu cells are provably equivalent "
-                     "(identical canonical schedule and run parameters): "
-                     "%s\n",
-                     ids.size(), list.c_str());
-      }
+  for (const auto& [key, ids] : equiv_groups) {
+    if (ids.size() < 2) continue;
+    report.equiv_cells += static_cast<int>(ids.size()) - 1;
+    if (!a.quiet) {
+      std::string list = ids.front();
+      for (std::size_t i = 1; i < ids.size(); ++i) list += ", " + ids[i];
+      std::fprintf(stderr,
+                   "  lint %zu cells are provably equivalent (identical "
+                   "canonical schedule and run parameters): %s\n",
+                   ids.size(), list.c_str());
     }
   }
-  if (!args.timeline.empty()) {
+  if (!a.timeline.empty()) {
     // Only freshly-executed cells can contribute timeline fragments —
     // journaled records don't carry one.
     for (RunCell& c : todo) c.capture_timeline = true;
   }
 
-  if (!args.quiet) {
+  if (!a.quiet) {
     std::fprintf(stderr, "campaign %s: %zu cells, %d job(s)%s%s\n",
-                 spec->name.c_str(), cells.size(), std::max(1, args.jobs),
-                 args.isolate ? ", isolated" : "",
-                 args.resume ? (", " + std::to_string(resumed) +
-                                " journaled, " + std::to_string(todo.size()) +
-                                " to run")
-                                   .c_str()
-                             : "");
+                 spec.name.c_str(), cells.size(), report.jobs,
+                 a.isolate ? ", isolated" : "",
+                 a.resume ? (", " + std::to_string(report.resumed) +
+                             " journaled, " + std::to_string(todo.size()) +
+                             " to run")
+                                .c_str()
+                          : "");
   }
 
   Journal journal;
   if (journaling && !todo.empty() && !journal.open(journal_path)) {
-    std::fprintf(stderr, "error: cannot append to journal %s\n",
-                 journal_path.c_str());
+    print_error("cannot append to journal " + journal_path);
     return 2;
   }
-  std::map<int, const std::string*> key_of_index;  // plan index -> cell key
-  if (journaling) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      key_of_index[cells[i].index] = &keys[i];
-    }
-  }
 
-  const bool use_fabric = args.workers > 0 || !args.listen.empty();
+  const bool use_fabric = a.workers > 0 || !a.listen.empty();
   int done = 0;
   // Live telemetry (stderr only — wall-clock never reaches a record). On a
   // tty the line redraws in place; otherwise a full line every 50 cells.
@@ -807,9 +543,7 @@ int main(int argc, char** argv) {
     std::string line = buf;
     if (use_fabric && !fleet_done.empty() && el > 0) {
       double best = 0.0;
-      for (const auto& [id, n] : fleet_done) {
-        best = std::max(best, n / el);
-      }
+      for (const auto& [id, n] : fleet_done) best = std::max(best, n / el);
       line += " |";
       int shown = 0;
       for (const auto& [id, n] : fleet_done) {
@@ -826,26 +560,17 @@ int main(int argc, char** argv) {
     return line;
   };
   ExecutorOptions opts;
-  opts.jobs = args.jobs;
-  opts.isolate = args.isolate;
+  opts.jobs = a.jobs;
+  opts.isolate = a.isolate;
   opts.retries = retries;
   opts.should_stop = [] { return g_interrupted != 0; };
   opts.on_result = [&](const RunResult& r) {
     ++done;
-    if (r.errored()) {
-      ++live_err;
-    } else if (r.pass) {
-      ++live_pass;
-    } else {
-      ++live_fail;
+    ++(r.errored() ? live_err : r.pass ? live_pass : live_fail);
+    if (journal.is_open() && has_slot(r)) {
+      journal.append(keys[static_cast<std::size_t>(r.index)], record_json(r));
     }
-    if (journal.is_open()) {
-      const auto it = key_of_index.find(r.index);
-      if (it != key_of_index.end()) {
-        journal.append(*it->second, record_json(r));
-      }
-    }
-    if (args.quiet) return;
+    if (a.quiet) return;
     if (!r.pass || r.errored()) {
       std::fprintf(stderr, "%s  %-40s %s%s\n", tty ? "\r\x1b[K" : "",
                    r.id.c_str(), r.errored() ? "ERROR" : "FAIL",
@@ -861,7 +586,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", progress_line().c_str());
     }
   };
-  if (!args.quiet) {
+  if (!a.quiet) {
     opts.on_retry = [&](const RunResult& r, int attempt, int max_attempts) {
       std::fprintf(stderr, "  retry %-40s attempt %d/%d failed: %s\n",
                    r.id.c_str(), attempt, max_attempts, r.error.c_str());
@@ -874,30 +599,28 @@ int main(int argc, char** argv) {
   pfi::fabric::Listener listener;
   pfi::fabric::LocalWorkerPool pool;
   if (use_fabric) {
-    std::string ferr;
     // --listen publishes a real address for external pfi_worker processes;
     // plain --workers keeps the fabric on an ephemeral loopback port.
-    if (!listener.open(args.listen.empty() ? "127.0.0.1:0" : args.listen,
-                       &ferr)) {
-      std::fprintf(stderr, "error: %s\n", ferr.c_str());
+    if (!listener.open(a.listen.empty() ? "127.0.0.1:0" : a.listen, &err)) {
+      print_error(err);
       return 2;
     }
-    if (!args.quiet && !args.listen.empty()) {
+    if (!a.quiet && !a.listen.empty()) {
       std::fprintf(stderr, "fabric: listening on %s\n",
                    listener.address().c_str());
     }
-    if (args.workers > 0) {
+    if (a.workers > 0) {
       pfi::fabric::WorkerOptions wopts;
       wopts.connect = listener.address();
-      wopts.isolate = args.isolate;
+      wopts.isolate = a.isolate;
       wopts.retries = retries;
-      wopts.heartbeat_ms = args.heartbeat_ms;
-      wopts.token = args.token;  // the local fleet authenticates like anyone
+      wopts.heartbeat_ms = a.heartbeat_ms;
+      wopts.token = a.token;  // the local fleet authenticates like anyone
       // Spawned before any threads exist (the poll-loop coordinator never
       // spawns its own): fork() from a single-threaded parent only.
-      if (!pfi::fabric::spawn_local_workers(wopts, args.workers,
-                                            listener.fd(), &pool, &ferr)) {
-        std::fprintf(stderr, "error: %s\n", ferr.c_str());
+      if (!pfi::fabric::spawn_local_workers(wopts, a.workers, listener.fd(),
+                                            &pool, &err)) {
+        print_error(err);
         return 2;
       }
     }
@@ -916,20 +639,20 @@ int main(int argc, char** argv) {
   if (use_fabric) {
     pfi::fabric::FabricOptions fopts;
     fopts.no_worker_timeout_ms = 60000;
-    fopts.dead_after_ms = args.dead_after_ms;
-    fopts.reconnect_grace_ms = args.reconnect_grace_ms;
-    fopts.heartbeat_ms = args.heartbeat_ms;
-    fopts.token = args.token;
-    fopts.flap_every = args.workers_flap;
+    fopts.dead_after_ms = a.dead_after_ms;
+    fopts.reconnect_grace_ms = a.reconnect_grace_ms;
+    fopts.heartbeat_ms = a.heartbeat_ms;
+    fopts.token = a.token;
+    fopts.flap_every = a.workers_flap;
     fopts.should_stop = opts.should_stop;
     fopts.on_result = opts.on_result;
     fopts.flight = &flight;
     fopts.obs = &fabric_obs;
-    if (!args.metrics_out.empty()) fopts.worker_stats_out = &worker_stats;
-    fopts.on_result_worker = [&](const std::string& id) {
-      ++fleet_done[id];
-    };
-    if (args.workers_kill_one) {
+    if (!a.metrics_out.empty()) fopts.worker_stats_out = &worker_stats;
+    fopts.on_result_worker = [&](const std::string& id) { ++fleet_done[id]; };
+    if (a.workers_kill_one) {
+      // SIGKILL one auto-spawned worker after the first result arrives;
+      // the survivors absorb its leases.
       bool killed = false;
       fopts.on_result = [&, inner = opts.on_result](const RunResult& r) {
         if (!killed && !pool.pids.empty()) {
@@ -939,7 +662,7 @@ int main(int argc, char** argv) {
         if (inner) inner(r);
       };
     }
-    if (!args.quiet) {
+    if (!a.quiet) {
       fopts.on_log = [&](const std::string& msg) {
         std::fprintf(stderr, "%s  fabric: %s\n", tty ? "\r\x1b[K" : "",
                      msg.c_str());
@@ -947,7 +670,7 @@ int main(int argc, char** argv) {
     }
     results = pfi::fabric::run_fabric(&listener, todo, fopts, &fstats);
     pfi::fabric::reap_local_workers(&pool);
-    if (!args.quiet) {
+    if (!a.quiet) {
       std::fprintf(stderr,
                    "fabric: %d worker(s) joined, %d lost, %d lease(s), "
                    "%d cell(s) requeued\n",
@@ -968,74 +691,41 @@ int main(int argc, char** argv) {
   } else {
     results = run_cells(todo, opts);
   }
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  report.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
   std::signal(SIGINT, SIG_DFL);
-  const bool interrupted = g_interrupted != 0;
-  if (!args.quiet && tty && done != static_cast<int>(todo.size())) {
+  report.interrupted = g_interrupted != 0;
+  if (!a.quiet && tty && done != static_cast<int>(todo.size())) {
     std::fputc('\n', stderr);  // leave the partial progress line intact
   }
 
   // ---- observability outputs ----------------------------------------------
   // Results come back in cell order, so both documents are deterministic
   // whatever --jobs or --isolate was.
-  if (!args.metrics_out.empty()) {
-    std::map<std::string, pfi::obs::MetricSample> merged;
-    int measured = 0;
-    for (const RunResult& r : results) {
-      if (r.index < 0 || r.metrics.empty()) continue;
-      ++measured;
-      pfi::obs::merge_samples(&merged, r.metrics);
-    }
-    json::Writer mw;
-    mw.begin_object();
-    mw.kv("campaign", spec->name);
-    mw.kv("cells", static_cast<int>(cells.size()));
-    mw.kv("cells_measured", measured);
-    // The "metrics" object is built solely from per-result records, so its
-    // bytes match a --jobs 1 run whatever the worker count. The fabric and
-    // fleet sections below are the wall-clock side channel.
-    mw.key("metrics").begin_object();
-    for (const auto& [name, m] : merged) mw.kv(name, m.value);
-    mw.end_object();
+  if (!a.metrics_out.empty()) {
+    std::function<void(pfi::campaign::json::Writer*)> fleet;
     if (use_fabric) {
-      mw.key("fabric").value_raw(fstats.to_json());
-      std::map<std::string, pfi::obs::MetricSample> fleet;
-      for (const auto& [id, samples] : worker_stats) {
-        pfi::obs::merge_samples(&fleet, samples);
-      }
-      pfi::obs::merge_samples(&fleet, fabric_obs.snapshot());
-      mw.key("fleet").begin_object();
-      mw.key("merged").begin_object();
-      for (const auto& [name, m] : fleet) mw.kv(name, m.value);
-      mw.end_object();
-      mw.key("workers").begin_object();
-      for (const auto& [id, samples] : worker_stats) {
-        mw.key(id).begin_object();
-        for (const auto& m : samples) mw.kv(m.name, m.value);
-        mw.end_object();
-      }
-      mw.end_object();
-      mw.end_object();
+      fleet = [&](pfi::campaign::json::Writer* w) {
+        pfi::fabric::write_fleet_sections(w, fstats, worker_stats,
+                                          &fabric_obs);
+      };
     }
-    mw.end_object();
-    FILE* f = std::fopen(args.metrics_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   args.metrics_out.c_str());
+    if (!write_file_or_stdout(
+            a.metrics_out,
+            metrics_json(spec.name, static_cast<int>(cells.size()), results,
+                         fleet) +
+                "\n")) {
       return 2;
     }
-    std::fprintf(f, "%s\n", mw.str().c_str());
-    std::fclose(f);
   }
-  if (!args.flight_out.empty()) {
-    // Always written (empty ring = just the flight-meta line) so consumers
-    // can treat the file's existence as unconditional.
-    if (!write_file_or_stdout(args.flight_out, flight.to_jsonl())) return 2;
+  // Always written (empty ring = just the flight-meta line) so consumers
+  // can treat the file's existence as unconditional.
+  if (!a.flight_out.empty() &&
+      !write_file_or_stdout(a.flight_out, flight.to_jsonl())) {
+    return 2;
   }
-  if (!args.timeline.empty()) {
+  if (!a.timeline.empty()) {
     std::vector<std::string> fragments;
     for (const RunResult& r : results) {
       if (r.index >= 0 && !r.timeline.empty()) fragments.push_back(r.timeline);
@@ -1043,85 +733,22 @@ int main(int argc, char** argv) {
     if (use_fabric) {
       // The flight lane rides above the per-cell lanes: pid = cells.size()
       // can't collide with any cell's pid (those are plan indices).
-      const std::string ft = flight.to_trace_events(
-          "fabric", static_cast<int>(cells.size()));
+      const std::string ft =
+          flight.to_trace_events("fabric", static_cast<int>(cells.size()));
       if (!ft.empty()) fragments.push_back(ft);
     }
-    FILE* f = std::fopen(args.timeline.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.timeline.c_str());
+    if (!write_file_or_stdout(
+            a.timeline, pfi::obs::timeline_document(fragments) + "\n")) {
       return 2;
     }
-    std::fprintf(f, "%s\n",
-                 pfi::obs::timeline_document(fragments).c_str());
-    std::fclose(f);
   }
 
-  // Splice freshly-executed records into their plan slots. Skipped cells
-  // (index -1: claimed by nobody before the interrupt) leave the slot empty.
-  std::map<int, std::size_t> slot_of_index;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    slot_of_index[cells[i].index] = i;
-  }
-  for (const RunResult& r : results) {
-    if (r.index < 0) continue;
-    records[slot_of_index[r.index]] = record_json(r);
-  }
+  // Skipped cells (index -1: claimed by nobody before the interrupt) leave
+  // their slot empty; the summary counts journaled and fresh records alike.
+  splice_records(cells, results, &report.records);
+  const RecordTally tally = tally_records(report.records);
 
-  // Summary over the merged set — journaled and fresh records count alike.
-  Summary sum;
-  sum.total = static_cast<int>(cells.size());
-  for (const RunResult& r : results) {
-    if (r.index >= 0 && (r.errored() || !r.pass)) sum.failures.push_back(&r);
-  }
-  std::vector<std::string> failing_ids;
-  for (const std::string& rec : records) {
-    if (rec.empty()) {
-      ++sum.skipped;
-      continue;
-    }
-    const auto doc = json::parse(rec);
-    const std::string verdict = doc ? doc->str_or("verdict", "error") : "error";
-    if (verdict == "pass") {
-      ++sum.passed;
-    } else {
-      if (verdict == "error") {
-        ++sum.errored;
-      } else {
-        ++sum.failed;
-      }
-      failing_ids.push_back(doc ? doc->str_or("id", "") : "");
-    }
-  }
-
-  pfi::campaign::json::Writer w;
-  w.begin_object();
-  w.kv("campaign", spec->name);
-  w.kv("protocol", spec->protocol);
-  w.kv("oracle", spec->oracle);
-  w.kv("cells", sum.total);
-  w.key("runs").begin_array();
-  for (const std::string& rec : records) {
-    if (!rec.empty()) w.value_raw(rec);
-  }
-  w.end_array();
-  w.key("summary").begin_object();
-  w.kv("pass", sum.passed);
-  w.kv("fail", sum.failed);
-  w.kv("error", sum.errored);
-  if (sum.skipped > 0) w.kv("skipped", sum.skipped);
-  if (lint_rejected > 0) w.kv("lint_rejected", lint_rejected);
-  if (equiv_cells > 0) w.kv("equiv_cells", equiv_cells);
-  if (resumed > 0) w.kv("resumed", resumed);
-  if (interrupted) w.kv("interrupted", true);
-  w.kv("jobs", std::max(1, args.jobs));
-  w.kv("wall_ms", wall_ms);
-  w.key("failing_ids").begin_array();
-  for (const std::string& id : failing_ids) w.value(id);
-  w.end_array();
-  w.end_object();
-
-  if (args.minimize) {
+  if (a.minimize) {
     // Only freshly-executed failures are minimised: a journaled failure was
     // (or can be) minimised by the run that produced it.
     //
@@ -1134,66 +761,113 @@ int main(int argc, char** argv) {
     MinimizeOptions mopts;
     mopts.cache = &mincache;
     if (journal.is_open()) mopts.journal = &journal;
-    int minimized = 0;
-    w.key("minimized").begin_array();
-    for (const RunResult* f : sum.failures) {
-      if (interrupted || minimized >= args.max_minimize) break;
-      if (f->errored()) continue;  // infrastructure error, not a repro
-      const std::size_t slot = slot_of_index[f->index];
-      const RunCell& cell = cells[slot];
-      if (cell.schedule.empty()) continue;  // literal .tcl: nothing to cut
-      if (!args.quiet) {
+    report.minimized.emplace();
+    for (const RunResult& f : results) {
+      if (report.interrupted ||
+          static_cast<int>(report.minimized->size()) >= a.max_minimize) {
+        break;
+      }
+      // Errors are infrastructure, not a repro; literal .tcl cells have no
+      // schedule to cut.
+      if (!has_slot(f) || f.pass || f.errored()) continue;
+      const RunCell& cell = cells[static_cast<std::size_t>(f.index)];
+      if (cell.schedule.empty()) continue;
+      if (!a.quiet) {
         std::fprintf(stderr, "  minimizing %s (%zu events)...\n",
                      cell.id.c_str(), cell.schedule.size());
       }
       const MinimizeResult m = minimize_schedule(cell, mopts);
-      ++minimized;
-      w.begin_object();
-      w.kv("id", cell.id);
-      w.kv("original_events", static_cast<std::uint64_t>(m.original_events));
-      w.kv("minimal_events", static_cast<std::uint64_t>(m.minimal_events));
-      w.kv("probe_runs", m.runs);
-      w.kv("probe_cache_hits", m.cache_hits);
-      w.kv("reproduced", m.reproduced);
-      w.kv("schedule_summary", m.schedule.summary());
-      w.key("schedule");
-      m.schedule.to_json(w);
-      if (!m.verification.reason.empty()) {
-        w.kv("failure", m.verification.reason);
-      }
-      w.end_object();
-      if (!args.quiet) {
+      if (!a.quiet) {
         std::fprintf(stderr, "    -> %zu event(s), reproduced=%s: %s\n",
                      m.minimal_events, m.reproduced ? "yes" : "NO",
                      m.schedule.summary().c_str());
       }
+      report.minimized->emplace_back(cell.id, m);
     }
-    w.end_array();
   }
-  w.end_object();
   journal.close();
 
-  const std::string& doc = w.str();
-  if (args.out.empty()) {
-    std::printf("%s\n", doc.c_str());
-  } else {
-    FILE* f = std::fopen(args.out.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.out.c_str());
-      return 2;
-    }
-    std::fprintf(f, "%s\n", doc.c_str());
-    std::fclose(f);
+  if (!write_file_or_stdout(a.out, report_json(spec, report, tally) + "\n")) {
+    return 2;
   }
-  if (!args.quiet) {
+  if (!a.quiet) {
     std::fprintf(stderr, "%d/%d pass, %d fail, %d error%s in %.0f ms\n",
-                 sum.passed, sum.total, sum.failed, sum.errored,
-                 sum.skipped > 0
-                     ? (", " + std::to_string(sum.skipped) + " skipped")
+                 tally.pass, static_cast<int>(cells.size()), tally.fail,
+                 tally.error,
+                 tally.skipped > 0
+                     ? (", " + std::to_string(tally.skipped) + " skipped")
                            .c_str()
                      : "",
-                 wall_ms);
+                 report.wall_ms);
   }
-  if (interrupted) return 130;
-  return sum.failed + sum.errored > 0 ? 1 : 0;
+  if (report.interrupted) return 130;
+  return tally.fail + tally.error > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args a;
+  auto parser = make_parser(&a);
+  if (const int rc = parser.parse(argc, argv); rc >= 0) return rc;
+  const auto& positionals = parser.positionals();
+
+  if (!a.status.empty()) return run_status(a);
+  if (a.merge_journals) {
+    if (positionals.empty()) {
+      return parser.fail("--merge-journals needs journal files");
+    }
+    return run_merge(a, positionals);
+  }
+
+  if (positionals.size() > 1) {
+    return parser.fail("unexpected argument " + positionals[1]);
+  }
+  if (!positionals.empty()) a.spec_path = positionals.front();
+  if (a.spec_path.empty() && a.suite.empty()) {
+    return parser.fail("needs a spec file or --suite DIR (see --help)");
+  }
+  if (!a.suite.empty() &&
+      (!a.spec_path.empty() || !a.submit.empty() || a.explore > 0)) {
+    return parser.fail(
+        "--suite replaces the spec and runs locally; it combines with "
+        "neither a spec file, --submit nor --explore");
+  }
+  for (const char* flag : kExploreOnly) {
+    if (!parser.given(flag)) continue;
+    if (!a.submit.empty()) {
+      return parser.fail(std::string(flag) +
+                         " does not travel with --submit (SUBMIT carries "
+                         "the budget only); run the search locally");
+    }
+    if (a.explore <= 0) {
+      return parser.fail(std::string(flag) + " applies only to --explore");
+    }
+  }
+  std::string err;
+  std::optional<CampaignSpec> spec;
+  if (!a.suite.empty()) {
+    spec = suite_spec(a.suite);
+  } else {
+    spec = load_spec_file(a.spec_path, &err);
+    if (!spec) {
+      print_error(err);
+      return 2;
+    }
+  }
+  if (!a.submit.empty()) return run_submit(a);
+  if ((a.workers > 0 || !a.listen.empty()) && a.explore > 0) {
+    return parser.fail(
+        "--workers applies to the static matrix; distribute --explore "
+        "through pfi_fabricd + --submit instead");
+  }
+
+  // CLI overrides win over the spec's own resilience knobs.
+  if (a.timeout_ms >= 0) spec->timeout_ms = a.timeout_ms;
+  if (a.max_events >= 0) {
+    spec->max_sim_events = static_cast<std::uint64_t>(a.max_events);
+  }
+  const int retries = a.retries >= 0 ? a.retries : spec->retries;
+  if (a.explore > 0) return run_explore(a, *spec, retries);
+  return run_matrix(a, *spec, retries);
 }

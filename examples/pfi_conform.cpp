@@ -14,90 +14,53 @@
 // Exit status: 0 every vendor conforms, 1 any step diverged (or a run
 // errored), 2 usage / parse / lint error.
 #include <cstdio>
-#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "campaign/json.hpp"
+#include "campaign/flags.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/suite.hpp"
 #include "conformance/conformance.hpp"
 #include "lint/lint.hpp"
 
-namespace {
-
-int usage(int code) {
-  std::printf(
-      "usage: pfi_conform <timeline.pdt> [options]\n"
-      "  --vendor NAME   run one vendor TcpProfile (sunos | aix | next |\n"
-      "                  solaris | reference); default: all four vendors\n"
-      "  --emit          print the compiled filter scripts and exit\n"
-      "  --lint-only     parse + lint the timeline and exit (no run)\n"
-      "  --json          per-vendor campaign records (JSONL) instead of the\n"
-      "                  step table\n"
-      "  --quiet         only the final summary line\n");
-  return code;
-}
-
-std::string read_all(const std::string& path, bool* ok) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *ok = false;
-    return {};
-  }
-  std::string out;
-  char buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  *ok = true;
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string path;
+  namespace f = pfi::campaign::flags;
   std::string vendor;
   bool emit = false;
   bool lint_only = false;
   bool json = false;
   bool quiet = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (a == "--vendor") {
-      vendor = next();
-    } else if (a == "--emit") {
-      emit = true;
-    } else if (a == "--lint-only") {
-      lint_only = true;
-    } else if (a == "--json") {
-      json = true;
-    } else if (a == "--quiet") {
-      quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      return usage(0);
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "pfi_conform: unknown option %s\n", a.c_str());
-      return usage(2);
-    } else if (path.empty()) {
-      path = a;
-    } else {
-      return usage(2);
-    }
+  f::Parser parser(
+      "pfi_conform", {"<timeline.pdt> [options]"},
+      {
+          f::custom("--vendor", "NAME", "run one vendor TcpProfile "
+                    "(default: all four vendors)",
+                    pfi::campaign::vendor_choices(),
+                    [&](std::string_view v) {
+                      vendor = v;
+                      return pfi::campaign::vendor_profile(v).has_value();
+                    }),
+          f::toggle("--emit", "print the compiled filter scripts and exit",
+                    &emit),
+          f::toggle("--lint-only", "parse + lint the timeline and exit (no "
+                    "run)", &lint_only),
+          f::toggle("--json", "per-vendor campaign records (JSONL) instead "
+                    "of the step table", &json),
+          f::toggle("--quiet", "only the final summary line", &quiet),
+      });
+  if (const int rc = parser.parse(argc, argv); rc >= 0) return rc;
+  if (parser.positionals().size() != 1) {
+    return parser.fail("needs exactly one timeline (see --help)");
   }
-  if (path.empty()) return usage(2);
+  const std::string& path = parser.positionals().front();
 
-  bool ok = false;
-  const std::string text = read_all(path, &ok);
-  if (!ok) {
-    std::fprintf(stderr, "pfi_conform: cannot read %s\n", path.c_str());
-    return 2;
-  }
+  std::ifstream in(path);
+  if (!in) return parser.fail("cannot read " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
 
   // Lint first — parse errors and dead timelines are reported with
   // positions whatever mode runs next.

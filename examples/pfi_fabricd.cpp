@@ -15,9 +15,10 @@
 // BYEs every connection.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "campaign/flags.hpp"
+#include "campaign/report.hpp"
 #include "fabric/service.hpp"
 #include "fabric/socket.hpp"
 #include "fabric/worker.hpp"
@@ -29,86 +30,55 @@ volatile std::sig_atomic_t g_stop = 0;
 
 extern "C" void handle_stop(int) { g_stop = 1; }
 
-int usage(int code) {
-  std::printf(
-      "usage: pfi_fabricd --listen HOST:PORT|unix:PATH [options]\n"
-      "  --workers N       auto-spawn N local worker processes\n"
-      "  --jobs N          executor threads per auto-spawned worker\n"
-      "  --isolate         auto-spawned workers fork-sandbox each cell\n"
-      "  --retries N       auto-spawned workers' retry policy\n"
-      "  --lease-batch N   max cells per lease grant (default 8)\n"
-      "  --dead-after-ms N worker silence threshold (default 5000)\n"
-      "  --reconnect-grace-ms N  how long a disconnected worker may stay\n"
-      "                    away before its leases requeue (default:\n"
-      "                    dead-after-ms)\n"
-      "  --heartbeat-ms N  liveness beat interval, both directions (default\n"
-      "                    500): auto-spawned workers beat the daemon and the\n"
-      "                    daemon beats parked workers\n"
-      "  --token SECRET    require this shared secret in every HELLO (or\n"
-      "                    set PFI_FABRIC_TOKEN)\n"
-      "  --allow ADDR      allowlist a TCP peer address (repeatable)\n"
-      "  --max-active N    jobs running concurrently (default 4)\n"
-      "  --flight-out FILE dump the daemon's flight recorder (connects,\n"
-      "                    grants, requeues, reattaches...) as JSONL at\n"
-      "                    shutdown; query it live via pfi_campaign --status\n"
-      "  --quiet           no job/worker log lines on stderr\n");
-  return code;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace f = pfi::campaign::flags;
   std::string listen;
   std::string flight_out;
   int workers = 0;
   pfi::fabric::WorkerOptions wopts;
   pfi::fabric::ServiceOptions sopts;
   bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (a == "--listen") {
-      listen = next();
-    } else if (a == "--workers") {
-      workers = std::atoi(next());
-    } else if (a == "--jobs") {
-      wopts.jobs = std::atoi(next());
-    } else if (a == "--isolate") {
-      wopts.isolate = true;
-    } else if (a == "--retries") {
-      wopts.retries = std::atoi(next());
-    } else if (a == "--lease-batch") {
-      sopts.lease_batch = std::atoi(next());
-    } else if (a == "--dead-after-ms") {
-      sopts.dead_after_ms = std::atoi(next());
-    } else if (a == "--reconnect-grace-ms") {
-      sopts.reconnect_grace_ms = std::atoi(next());
-    } else if (a == "--heartbeat-ms") {
-      wopts.heartbeat_ms = std::atoi(next());
-      sopts.heartbeat_ms = wopts.heartbeat_ms;
-    } else if (a == "--token") {
-      sopts.token = next();
-    } else if (a == "--allow") {
-      sopts.allow.emplace_back(next());
-    } else if (a == "--max-active") {
-      sopts.max_active = std::atoi(next());
-    } else if (a == "--flight-out") {
-      flight_out = next();
-    } else if (a == "--quiet") {
-      quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      return usage(0);
-    } else {
-      return usage(2);
-    }
+  f::Parser parser(
+      "pfi_fabricd", {"--listen HOST:PORT|unix:PATH [options]"},
+      {
+      f::text("--listen", "ADDR", "accept workers and clients on ADDR",
+              &listen),
+      f::number("--workers", "N", "auto-spawn N local workers", &workers),
+      f::number("--jobs", "N", "executor threads per local worker",
+                &wopts.jobs),
+      f::toggle("--isolate", "local workers fork-sandbox each cell",
+                &wopts.isolate),
+      f::number("--retries", "N", "local workers' retry policy",
+                &wopts.retries),
+      f::number("--lease-batch", "N", "max cells per lease grant (8)",
+                &sopts.lease_batch),
+      f::number("--dead-after-ms", "N", "worker silence threshold (5000)",
+                &sopts.dead_after_ms),
+      f::number("--reconnect-grace-ms", "N", "detached-worker grace",
+                &sopts.reconnect_grace_ms),
+      f::custom("--heartbeat-ms", "N", "beat interval, both directions (500)",
+                "an integer", [&](std::string_view v) {
+                  namespace kv = pfi::campaign::kv;
+                  return kv::to_int(v, &wopts.heartbeat_ms) &&
+                         kv::to_int(v, &sopts.heartbeat_ms);
+                }),
+      f::text("--token", "SECRET", "shared secret every HELLO must carry",
+              &sopts.token, "PFI_FABRIC_TOKEN"),
+      f::repeated("--allow", "ADDR", "allowlist a TCP peer (repeatable)",
+                  &sopts.allow),
+      f::number("--max-active", "N", "jobs running concurrently (4)",
+                &sopts.max_active),
+      f::text("--flight-out", "FILE", "flight recorder JSONL at shutdown",
+              &flight_out),
+      f::toggle("--quiet", "no job/worker log lines on stderr", &quiet),
+      });
+  if (const int rc = parser.parse(argc, argv); rc >= 0) return rc;
+  if (!parser.positionals().empty()) {
+    return parser.fail("unexpected argument " + parser.positionals()[0]);
   }
-  if (listen.empty()) return usage(2);
-  if (sopts.token.empty()) {
-    const char* env = std::getenv("PFI_FABRIC_TOKEN");
-    if (env != nullptr) sopts.token = env;
-  }
+  if (listen.empty()) return parser.fail("needs --listen ADDR");
   wopts.token = sopts.token;  // the local fleet authenticates like anyone
 
   std::string err;
@@ -150,14 +120,7 @@ int main(int argc, char** argv) {
   const int rc = pfi::fabric::run_service(&listener, sopts, &stats);
   pfi::fabric::reap_local_workers(&pool);
   if (!flight_out.empty()) {
-    FILE* f = std::fopen(flight_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", flight_out.c_str());
-    } else {
-      const std::string jsonl = flight.to_jsonl();
-      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-      std::fclose(f);
-    }
+    pfi::campaign::write_file_or_stdout(flight_out, flight.to_jsonl());
   }
   if (!quiet) {
     std::fprintf(stderr,

@@ -13,20 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "campaign/flags.hpp"
 #include "lint/lint.hpp"
 #include "lint/sarif.hpp"
 
 namespace {
-
-void usage(std::ostream& os) {
-  os << "usage: pfi_lint [--json|--sarif] [--strict] [--no-filter] "
-        "[--no-driver] file...\n"
-     << "  --json       emit one JSON document instead of text\n"
-     << "  --sarif      emit a SARIF 2.1.0 document instead of text\n"
-     << "  --strict     warnings also fail the run\n"
-     << "  --no-filter  do not accept PfiLayer host commands (msg_*, x*)\n"
-     << "  --no-driver  do not accept ScriptedDriver commands (drv_*)\n";
-}
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -36,39 +27,33 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace f = pfi::campaign::flags;
   bool json = false;
   bool sarif = false;
   bool strict = false;
   pfi::lint::Options opts;
-  std::vector<std::string> files;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--sarif") {
-      sarif = true;
-    } else if (arg == "--strict") {
-      strict = true;
-    } else if (arg == "--no-filter") {
-      opts.filter_commands = false;
-    } else if (arg == "--no-driver") {
-      opts.driver_commands = false;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "pfi_lint: unknown option " << arg << "\n";
-      usage(std::cerr);
-      return 2;
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.empty()) {
-    usage(std::cerr);
-    return 2;
-  }
+  const auto clear = [](bool* field) {
+    return [field](std::string_view) {
+      *field = false;
+      return true;
+    };
+  };
+  f::Parser parser(
+      "pfi_lint", {"[options] file..."},
+      {
+          f::toggle("--json", "emit one JSON document instead of text",
+                    &json),
+          f::toggle("--sarif", "emit a SARIF 2.1.0 document instead of text",
+                    &sarif),
+          f::toggle("--strict", "warnings also fail the run", &strict),
+          f::custom("--no-filter", "", "do not accept PfiLayer host commands "
+                    "(msg_*, x*)", "", clear(&opts.filter_commands)),
+          f::custom("--no-driver", "", "do not accept ScriptedDriver commands "
+                    "(drv_*)", "", clear(&opts.driver_commands)),
+      });
+  if (const int rc = parser.parse(argc, argv); rc >= 0) return rc;
+  const std::vector<std::string>& files = parser.positionals();
+  if (files.empty()) return parser.fail("no files to check (see --help)");
 
   std::vector<pfi::lint::Diagnostic> all;
   for (const std::string& file : files) {

@@ -10,9 +10,10 @@
 // This is how the paper's workflow looks operationally: the tool is compiled
 // once; each test is a different script file.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "campaign/flags.hpp"
+#include "campaign/vendors.hpp"
 #include "experiments/gmp_testbed.hpp"
 #include "experiments/tcp_testbed.hpp"
 #include "pfi/driver.hpp"
@@ -26,25 +27,17 @@ namespace {
 
 struct Args {
   std::string protocol = "tcp";
-  std::string vendor = "sunos";
+  tcp::TcpProfile profile = tcp::profiles::sunos_4_1_3();
   std::string script;
   int duration_s = 300;
-  int node = 3;  // which GMP node gets the script
+  int node = 3;  // which GMP node gets the script (the testbed has 1..3)
   bool diagram = false;
   bool json = false;
-  bool trace = true;
+  bool no_trace = false;
 };
 
-tcp::TcpProfile vendor_profile(const std::string& name) {
-  if (name == "solaris") return tcp::profiles::solaris_2_3();
-  if (name == "aix") return tcp::profiles::aix_3_2_3();
-  if (name == "next") return tcp::profiles::next_mach();
-  if (name == "reference") return tcp::profiles::xkernel_reference();
-  return tcp::profiles::sunos_4_1_3();
-}
-
 int run_tcp(const Args& args) {
-  TcpTestbed tb{vendor_profile(args.vendor)};
+  TcpTestbed tb{args.profile};
   if (!args.script.empty() &&
       !core::install_script_file(*tb.pfi, args.script)) {
     std::fprintf(stderr, "error: can't load script %s\n",
@@ -74,7 +67,7 @@ int run_tcp(const Args& args) {
     if (events.size() > 60) events.resize(60);
     std::printf("\n%s", trace::render_sequence({"vendor", "xkernel"}, events)
                             .c_str());
-  } else if (args.trace) {
+  } else if (!args.no_trace) {
     std::printf("\n%s", tb.trace.render().c_str());
   }
   return 0;
@@ -100,7 +93,7 @@ int run_gmp(const Args& args) {
               tb.views_consistent() ? "yes" : "NO");
   if (args.json) {
     std::printf("%s", tb.trace.to_json().c_str());
-  } else if (args.trace) {
+  } else if (!args.no_trace) {
     // Event records only; full packet logs need msg_log in the script.
     for (const auto& r : tb.trace.records()) {
       if (r.direction == "event") {
@@ -115,36 +108,42 @@ int run_gmp(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace f = campaign::flags;
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (a == "--protocol") {
-      args.protocol = next();
-    } else if (a == "--vendor") {
-      args.vendor = next();
-    } else if (a == "--script") {
-      args.script = next();
-    } else if (a == "--duration") {
-      args.duration_s = std::atoi(next());
-    } else if (a == "--node") {
-      args.node = std::atoi(next());
-    } else if (a == "--diagram") {
-      args.diagram = true;
-    } else if (a == "--json") {
-      args.json = true;
-    } else if (a == "--no-trace") {
-      args.trace = false;
-    } else {
-      std::printf(
-          "usage: pfi_run [--protocol tcp|gmp] [--vendor "
-          "sunos|aix|next|solaris|reference]\n"
-          "               [--script file.tcl] [--duration seconds] [--node N]\n"
-          "               [--diagram] [--json] [--no-trace]\n");
-      return a == "--help" || a == "-h" ? 0 : 1;
-    }
+  f::Parser parser(
+      "pfi_run", {"[options]"},
+      {
+          f::custom("--protocol", "tcp|gmp", "target protocol (default tcp)",
+                    "tcp|gmp",
+                    [&](std::string_view v) {
+                      args.protocol = v;
+                      return v == "tcp" || v == "gmp";
+                    }),
+          f::custom("--vendor", "NAME", "TCP vendor stack (default sunos)",
+                    campaign::vendor_choices(),
+                    [&](std::string_view v) {
+                      auto p = campaign::vendor_profile(v);
+                      if (p) args.profile = std::move(*p);
+                      return p.has_value();
+                    }),
+          f::text("--script", "FILE", "filter-script file to install",
+                  &args.script),
+          f::number("--duration", "SECONDS", "simulated run time (default "
+                    "300)", &args.duration_s),
+          f::custom("--node", "N", "GMP node that gets the script (default "
+                    "3)", "1..3",
+                    [&](std::string_view v) {
+                      return campaign::kv::to_int(v, &args.node) &&
+                             args.node >= 1 && args.node <= 3;
+                    }),
+          f::toggle("--diagram", "print a message-sequence chart (tcp)",
+                    &args.diagram),
+          f::toggle("--json", "print the trace as JSON", &args.json),
+          f::toggle("--no-trace", "print only the summary", &args.no_trace),
+      });
+  if (const int rc = parser.parse(argc, argv); rc >= 0) return rc;
+  if (!parser.positionals().empty()) {
+    return parser.fail("unexpected argument " + parser.positionals()[0]);
   }
   if (args.protocol == "gmp") return run_gmp(args);
   return run_tcp(args);

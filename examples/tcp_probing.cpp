@@ -2,15 +2,16 @@
 // against one vendor stack, narrating what the PFI layer sees.
 //
 //   $ ./tcp_probing            # probes SunOS 4.1.3
-//   $ ./tcp_probing solaris    # probes Solaris 2.3
+//   $ ./tcp_probing solaris    # probes Solaris 2.3 (any campaign vendor)
 //
 // Opens a connection from the chosen vendor TCP to the instrumented x-Kernel
 // machine, lets thirty segments through, then drops everything inbound and
 // watches the vendor retransmit — all orchestrated by a Tcl script, no
 // recompilation between vendors.
 #include <cstdio>
-#include <cstring>
 
+#include "campaign/flags.hpp"
+#include "campaign/vendors.hpp"
 #include "experiments/tcp_testbed.hpp"
 #include "pfi/driver.hpp"
 #include "tcp/profile.hpp"
@@ -19,16 +20,18 @@ using namespace pfi;
 using namespace pfi::experiments;
 
 int main(int argc, char** argv) {
-  tcp::TcpProfile profile = tcp::profiles::sunos_4_1_3();
-  if (argc > 1) {
-    if (std::strcmp(argv[1], "solaris") == 0) {
-      profile = tcp::profiles::solaris_2_3();
-    } else if (std::strcmp(argv[1], "aix") == 0) {
-      profile = tcp::profiles::aix_3_2_3();
-    } else if (std::strcmp(argv[1], "next") == 0) {
-      profile = tcp::profiles::next_mach();
-    }
+  campaign::flags::Parser parser(
+      "tcp_probing", {"[" + campaign::vendor_choices() + "]"}, {});
+  if (const int rc = parser.parse(argc, argv); rc >= 0) return rc;
+  const auto& args = parser.positionals();
+  if (args.size() > 1) return parser.fail("unexpected argument " + args[1]);
+  const std::string vendor = args.empty() ? "sunos" : args[0];
+  const auto found = campaign::vendor_profile(vendor);
+  if (!found) {
+    return parser.fail("unknown vendor '" + vendor + "' (want " +
+                       campaign::vendor_choices() + ")");
   }
+  const tcp::TcpProfile& profile = *found;
   std::printf("probing vendor stack: %s\n", profile.name.c_str());
 
   TcpTestbed tb{profile};

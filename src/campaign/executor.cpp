@@ -295,23 +295,4 @@ std::vector<RunResult> run_cells(const std::vector<RunCell>& cells,
   return results;
 }
 
-Summary summarize(const std::vector<RunResult>& results) {
-  Summary s;
-  s.total = static_cast<int>(results.size());
-  for (const RunResult& r : results) {
-    if (r.index < 0) {
-      ++s.skipped;
-    } else if (r.errored()) {
-      ++s.errored;
-      s.failures.push_back(&r);
-    } else if (r.pass) {
-      ++s.passed;
-    } else {
-      ++s.failed;
-      s.failures.push_back(&r);
-    }
-  }
-  return s;
-}
-
 }  // namespace pfi::campaign

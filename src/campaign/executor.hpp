@@ -64,17 +64,4 @@ struct ExecutorOptions {
 std::vector<RunResult> run_cells(const std::vector<RunCell>& cells,
                                  const ExecutorOptions& opts = {});
 
-/// Aggregate counts over a finished campaign. Skipped cells (index == -1,
-/// from a should_stop interruption) are counted in `skipped` only.
-struct Summary {
-  int total = 0;
-  int passed = 0;
-  int failed = 0;
-  int errored = 0;
-  int skipped = 0;
-  std::vector<const RunResult*> failures;  // fail + error, cell order
-};
-
-Summary summarize(const std::vector<RunResult>& results);
-
 }  // namespace pfi::campaign

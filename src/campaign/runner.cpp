@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "campaign/vendors.hpp"
 #include "campaign/watchdog.hpp"
 #include "conformance/conformance.hpp"
 #include "experiments/gmp_testbed.hpp"
@@ -167,14 +168,6 @@ void finish_observability(const RunCell& cell, obs::Registry* reg,
   }
 }
 
-tcp::TcpProfile vendor_profile(const std::string& name) {
-  if (name == "solaris") return tcp::profiles::solaris_2_3();
-  if (name == "aix") return tcp::profiles::aix_3_2_3();
-  if (name == "next") return tcp::profiles::next_mach();
-  if (name == "reference") return tcp::profiles::xkernel_reference();
-  return tcp::profiles::sunos_4_1_3();
-}
-
 void run_gmp(const RunCell& cell, const core::failure::Scripts& scripts,
              Watchdog* wd, obs::Registry* reg, RunResult* r) {
   std::vector<net::NodeId> ids;
@@ -238,11 +231,11 @@ void run_gmp(const RunCell& cell, const core::failure::Scripts& scripts,
   finish_observability(cell, reg, tb.sched, tb.network, tb.trace, target, r);
 }
 
-void run_tcp(const RunCell& cell, const std::string& scenario,
-             const conformance::Program* prog,
+void run_tcp(const RunCell& cell, const tcp::TcpProfile& profile,
+             const std::string& scenario, const conformance::Program* prog,
              const core::failure::Scripts& scripts, Watchdog* wd,
              obs::Registry* reg, RunResult* r) {
-  experiments::TcpTestbed tb{vendor_profile(cell.vendor)};
+  experiments::TcpTestbed tb{profile};
   tb.network.reseed(cell.seed);
   tb.network.set_metrics(reg);
   tb.network.default_link().jitter = cell.jitter;
@@ -432,6 +425,18 @@ RunResult run_cell(const RunCell& cell) {
     return r;
   }
 
+  // An empty vendor is the spec default; any other name must be in the
+  // vendor table (a LEASE frame can carry anything).
+  std::optional<tcp::TcpProfile> profile;
+  if (cell.protocol == "tcp") {
+    profile = vendor_profile(cell.vendor.empty() ? "sunos" : cell.vendor);
+    if (!profile) {
+      r.error = "unknown vendor '" + cell.vendor + "' (want " +
+                vendor_choices() + ")";
+      return r;
+    }
+  }
+
   std::optional<Watchdog> wd;
   if (cell.timeout_ms > 0 || cell.max_sim_events > 0) {
     wd.emplace(cell.timeout_ms, cell.max_sim_events);
@@ -446,8 +451,8 @@ RunResult run_cell(const RunCell& cell) {
     if (cell.protocol == "gmp") {
       run_gmp(cell, scripts, wdp, &reg, &r);
     } else if (cell.protocol == "tcp") {
-      run_tcp(cell, scenario, prog ? &*prog : nullptr, scripts, wdp, &reg,
-              &r);
+      run_tcp(cell, *profile, scenario, prog ? &*prog : nullptr, scripts,
+              wdp, &reg, &r);
     } else if (cell.protocol == "tpc") {
       run_tpc(cell, scripts, wdp, &reg, &r);
     } else {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "campaign/kv.hpp"
+#include "campaign/vendors.hpp"
 
 namespace pfi::campaign {
 
@@ -65,7 +66,7 @@ std::string default_oracle(const std::string& protocol) {
 }  // namespace
 
 std::optional<CampaignSpec> parse_spec(const std::string& text,
-                                       std::string* err) {
+                                       std::string* err, int* err_line) {
   CampaignSpec spec;
   spec.seeds.clear();
   std::istringstream is(text);
@@ -73,6 +74,7 @@ std::optional<CampaignSpec> parse_spec(const std::string& text,
   int lineno = 0;
   auto fail = [&](const std::string& msg) {
     if (err) *err = "line " + std::to_string(lineno) + ": " + msg;
+    if (err_line) *err_line = lineno;
     return std::nullopt;
   };
 
@@ -126,6 +128,12 @@ std::optional<CampaignSpec> parse_spec(const std::string& text,
     } else if (key == "scripts") {
       for (const auto& a : args) spec.script_files.push_back(a);
     } else if (key == "vendors") {
+      for (const auto& a : args) {
+        if (!vendor_profile(a)) {
+          return fail("unknown vendor '" + a + "' (want " + vendor_choices() +
+                      ")");
+        }
+      }
       spec.vendors = args;
     } else if (key == "scenario") {
       spec.scenario = one();

@@ -67,9 +67,11 @@ struct CampaignSpec {
   int retries = 0;     // executor re-runs of *errored* cells (0 = off)
 };
 
-/// Parse the text form. Returns nullopt and sets *err on malformed input.
+/// Parse the text form. Returns nullopt and sets *err ("line N: ...") on
+/// malformed input; *err_line gets N (0 = not tied to a line).
 std::optional<CampaignSpec> parse_spec(const std::string& text,
-                                       std::string* err);
+                                       std::string* err,
+                                       int* err_line = nullptr);
 
 /// Read + parse a spec file.
 std::optional<CampaignSpec> load_spec_file(const std::string& path,

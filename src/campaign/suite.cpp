@@ -3,18 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "campaign/vendors.hpp"
 #include "conformance/conformance.hpp"
 
 namespace pfi::campaign {
 
 namespace fs = std::filesystem;
-
-const std::vector<std::string>& suite_vendors() {
-  // profiles::all_vendors() order, by runner CLI name.
-  static const std::vector<std::string> v = {"sunos", "aix", "next",
-                                             "solaris"};
-  return v;
-}
 
 std::optional<std::vector<RunCell>> plan_suite(const std::string& dir,
                                                std::string* err) {

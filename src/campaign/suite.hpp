@@ -10,12 +10,9 @@
 #include <vector>
 
 #include "campaign/spec.hpp"
+#include "campaign/vendors.hpp"
 
 namespace pfi::campaign {
-
-/// The vendor axis of a suite plan, in profiles::all_vendors() order
-/// (CLI names understood by the runner).
-const std::vector<std::string>& suite_vendors();
 
 /// Plan `dir`'s *.pdt files (sorted by name, file-major: each timeline runs
 /// across every vendor before the next timeline starts). Cell ids are

@@ -657,18 +657,41 @@ std::vector<WorkerSnapshot> Engine::worker_snapshots() const {
   return out;
 }
 
-std::vector<obs::MetricSample> Engine::fleet_samples() const {
+std::vector<obs::MetricSample> merge_fleet(
+    const std::map<std::string, std::vector<obs::MetricSample>>& worker_stats,
+    const obs::Registry* coordinator) {
   std::map<std::string, obs::MetricSample> merged;
-  for (const auto& [id, samples] : worker_stats_) {
+  for (const auto& [id, samples] : worker_stats) {
     obs::merge_samples(&merged, samples);
   }
-  if (opts_.obs != nullptr) {
-    obs::merge_samples(&merged, opts_.obs->snapshot());
+  if (coordinator != nullptr) {
+    obs::merge_samples(&merged, coordinator->snapshot());
   }
   std::vector<obs::MetricSample> out;
   out.reserve(merged.size());
   for (auto& [name, sample] : merged) out.push_back(std::move(sample));
   return out;
+}
+
+void write_fleet_sections(
+    campaign::json::Writer* w, const FabricStats& stats,
+    const std::map<std::string, std::vector<obs::MetricSample>>& worker_stats,
+    const obs::Registry* coordinator) {
+  w->key("fabric").value_raw(stats.to_json());
+  w->key("fleet").begin_object();
+  w->key("merged").begin_object();
+  for (const auto& m : merge_fleet(worker_stats, coordinator)) {
+    w->kv(m.name, m.value);
+  }
+  w->end_object();
+  w->key("workers").begin_object();
+  for (const auto& [id, samples] : worker_stats) {
+    w->key(id).begin_object();
+    for (const auto& m : samples) w->kv(m.name, m.value);
+    w->end_object();
+  }
+  w->end_object();
+  w->end_object();
 }
 
 bool Engine::send_to_client(int fd, const std::string& frame_bytes) {

@@ -43,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/json.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "fabric/flight.hpp"
@@ -71,6 +72,13 @@ struct FabricStats {
   /// and the daemon's metrics artifact embed under "fabric".
   [[nodiscard]] std::string to_json() const;
 };
+
+/// Fleet-wide merge: every worker's latest STATS snapshot folded together
+/// with the coordinator's own registry (when non-null) via merge_samples,
+/// sorted by name.
+std::vector<obs::MetricSample> merge_fleet(
+    const std::map<std::string, std::vector<obs::MetricSample>>& worker_stats,
+    const obs::Registry* coordinator);
 
 /// A point-in-time view of one worker's durable state, for STATUS replies
 /// and the fleet progress line. Wall-clock field (`last_seen_ms`) included:
@@ -198,11 +206,6 @@ class Engine {
   /// steps until this stops advancing (the fleet's last snapshots landed).
   [[nodiscard]] std::uint64_t stats_frames() const { return stats_frames_; }
 
-  /// Fleet-wide merge: every worker's latest STATS folded together with
-  /// the coordinator's own registry (when Options.obs is set) via
-  /// merge_samples, sorted by name.
-  [[nodiscard]] std::vector<obs::MetricSample> fleet_samples() const;
-
   FabricStats stats;
 
  private:
@@ -277,6 +280,15 @@ class Engine {
   std::string beat_frame_;  // pre-encoded coordinator -> worker heartbeat
   std::chrono::steady_clock::time_point last_beat_;
 };
+
+/// The metrics document's side channel for a fabric run, appended to
+/// campaign::metrics_json by `pfi_campaign --workers` and the daemon alike:
+/// "fabric" (the FabricStats counters) and "fleet" {"merged": merge_fleet,
+/// "workers": each worker's own snapshot}.
+void write_fleet_sections(
+    campaign::json::Writer* w, const FabricStats& stats,
+    const std::map<std::string, std::vector<obs::MetricSample>>& worker_stats,
+    const obs::Registry* coordinator);
 
 /// One-shot coordinator options (`pfi_campaign --workers N`).
 struct FabricOptions {

@@ -16,6 +16,7 @@
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/json.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "fabric/wire.hpp"
@@ -78,11 +79,10 @@ struct Job {
   std::vector<std::pair<std::string, std::string>> artifacts;
   std::string done_json;
   bool finished = false;
-  /// Campaign jobs only: the deterministic per-cell metrics merge, handed
-  /// to the event loop so finish_job can assemble the metrics artifact
-  /// *with* the engine's fleet sections (the job thread has no engine).
-  std::map<std::string, pfi::obs::MetricSample> cell_metrics;
-  int cells_measured = 0;
+  /// Campaign jobs only: the executed results, handed to the event loop so
+  /// finish_job can assemble the metrics artifact *with* the engine's
+  /// fleet sections (the job thread has no engine).
+  std::vector<campaign::RunResult> results;
   int cells_planned = 0;
   bool wants_metrics = false;  // campaign jobs emit a metrics artifact
 
@@ -122,10 +122,10 @@ std::string done_error_json(const std::string& job_id,
 }
 
 /// The campaign job body (runs on the job thread). One bridge.run() call
-/// executes the whole plan over the fabric; everything before and after is
-/// the same deterministic assembly pfi_campaign does. Cells whose content
-/// key appears in Submit.have are the client's resume set: they are never
-/// executed, never re-transferred, and counted as "resumed".
+/// executes the whole plan over the fabric; the report and metrics come
+/// from the writers pfi_campaign uses (campaign/report.hpp). Cells whose
+/// content key appears in Submit.have are the client's resume set: they
+/// are never executed, never re-transferred, and counted as "resumed".
 void run_campaign_job(Job* job) {
   const auto planned =
       campaign::filter_cells(campaign::plan(job->spec), job->submit.filter);
@@ -144,96 +144,37 @@ void run_campaign_job(Job* job) {
     keys.push_back(std::move(key));
   }
 
-  const auto results = job->bridge.run(cells, &keys);
+  auto results = job->bridge.run(cells, &keys);
 
-  std::vector<std::string> records(cells.size());
+  campaign::CampaignReport report;
+  report.records.resize(cells.size());
+  report.resumed = resumed;
+  campaign::splice_records(cells, results, &report.records);
   std::map<std::string, std::string> journal;
-  std::map<std::string, pfi::obs::MetricSample> metrics;
-  int measured = 0;
-  std::map<int, std::size_t> slot_of_index;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    slot_of_index[cells[i].index] = i;
+    if (!report.records[i].empty()) journal[keys[i]] = report.records[i];
   }
-  for (const auto& r : results) {
-    if (r.index < 0) continue;  // drained on shutdown before it ran
-    // find(), never operator[]: a result whose index matches no dispatched
-    // cell (a buggy or malicious worker echoing the wrong one) must be
-    // dropped, not default-inserted into slot 0 over a real record.
-    const auto st = slot_of_index.find(r.index);
-    if (st == slot_of_index.end()) continue;
-    const std::size_t slot = st->second;
-    records[slot] = campaign::record_json(r);
-    journal[keys[slot]] = records[slot];
-    if (!r.metrics.empty()) {
-      ++measured;
-      pfi::obs::merge_samples(&metrics, r.metrics);
-    }
-  }
-
-  int pass = 0, fail = 0, error = 0, skipped = 0;
-  std::vector<std::string> failing_ids;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (records[i].empty()) {
-      ++skipped;
-      continue;
-    }
-    if (results[i].errored()) {
-      ++error;
-    } else if (results[i].pass) {
-      ++pass;
-    } else {
-      ++fail;
-    }
-    if (results[i].errored() || !results[i].pass) {
-      failing_ids.push_back(results[i].id);
-    }
-  }
-
-  // The report: same shape as pfi_campaign's, minus the wall-clock and
-  // host-execution fields (jobs, wall_ms) that a service must not leak
-  // into a deterministic document.
-  campaign::json::Writer w;
-  w.begin_object();
-  w.kv("campaign", job->spec.name);
-  w.kv("protocol", job->spec.protocol);
-  w.kv("oracle", job->spec.oracle);
-  w.kv("cells", static_cast<int>(cells.size()));
-  w.key("runs").begin_array();
-  for (const std::string& rec : records) {
-    if (!rec.empty()) w.value_raw(rec);
-  }
-  w.end_array();
-  w.key("summary").begin_object();
-  w.kv("pass", pass);
-  w.kv("fail", fail);
-  w.kv("error", error);
-  if (skipped > 0) w.kv("skipped", skipped);
-  if (resumed > 0) w.kv("resumed", resumed);
-  w.end_object();
-  w.key("failing_ids").begin_array();
-  for (const std::string& id : failing_ids) w.value(id);
-  w.end_array();
-  w.end_object();
+  const campaign::RecordTally tally = campaign::tally_records(report.records);
 
   campaign::json::Writer dw;
   dw.begin_object();
   dw.kv("job", job->id);
-  dw.kv("status", skipped > 0 ? "interrupted" : "ok");
+  dw.kv("status", tally.skipped > 0 ? "interrupted" : "ok");
   dw.kv("cells", static_cast<int>(cells.size()));
-  dw.kv("pass", pass);
-  dw.kv("fail", fail);
-  dw.kv("error", error);
-  if (skipped > 0) dw.kv("skipped", skipped);
+  dw.kv("pass", tally.pass);
+  dw.kv("fail", tally.fail);
+  dw.kv("error", tally.error);
+  if (tally.skipped > 0) dw.kv("skipped", tally.skipped);
   if (resumed > 0) dw.kv("resumed", resumed);
   dw.end_object();
 
   std::lock_guard<std::mutex> lock(job->bridge.mu);
-  job->artifacts.emplace_back("report", w.str() + "\n");
+  job->artifacts.emplace_back(
+      "report", campaign::report_json(job->spec, report, tally) + "\n");
   job->artifacts.emplace_back("journal", campaign::journal_jsonl(journal));
   // The metrics artifact is assembled by the event loop (finish_job): its
   // fleet sections come from the Engine, which this thread must not touch.
-  job->cell_metrics = std::move(metrics);
-  job->cells_measured = measured;
+  job->results = std::move(results);
   job->cells_planned = static_cast<int>(cells.size());
   job->wants_metrics = true;
   job->done_json = dw.str();
@@ -381,7 +322,9 @@ class Service {
     w.end_array();
     w.key("fabric").value_raw(engine_->stats.to_json());
     w.key("fleet_metrics").begin_object();
-    for (const auto& m : engine_->fleet_samples()) w.kv(m.name, m.value);
+    for (const auto& m : merge_fleet(engine_->worker_stats(), opts_.obs)) {
+      w.kv(m.name, m.value);
+    }
     w.end_object();
     w.end_object();
     return w.str();
@@ -558,41 +501,22 @@ class Service {
         job->submit.max_workers);
   }
 
-  /// The metrics artifact, fleet edition: the job's deterministic per-cell
-  /// merge (byte-identical to any single-process run of the same cells)
-  /// plus side-channel sections only the engine knows — FabricStats, the
-  /// fleet-merged worker registries, and a per-worker breakdown.
-  [[nodiscard]] std::string metrics_artifact(const Job& job) const {
-    campaign::json::Writer mw;
-    mw.begin_object();
-    mw.kv("campaign", job.spec.name);
-    mw.kv("cells", job.cells_planned);
-    mw.kv("cells_measured", job.cells_measured);
-    mw.key("metrics").begin_object();
-    for (const auto& [name, m] : job.cell_metrics) mw.kv(name, m.value);
-    mw.end_object();
-    mw.key("fabric").value_raw(engine_->stats.to_json());
-    mw.key("fleet").begin_object();
-    mw.key("merged").begin_object();
-    for (const auto& m : engine_->fleet_samples()) mw.kv(m.name, m.value);
-    mw.end_object();
-    mw.key("workers").begin_object();
-    for (const auto& [id, samples] : engine_->worker_stats()) {
-      mw.key(id).begin_object();
-      for (const auto& m : samples) mw.kv(m.name, m.value);
-      mw.end_object();
-    }
-    mw.end_object();
-    mw.end_object();
-    mw.end_object();
-    return mw.str() + "\n";
-  }
-
   void finish_job(std::size_t i) {
     Job* job = active_[i].get();
     job->thread.join();
     if (job->wants_metrics) {
-      job->artifacts.emplace_back("metrics", metrics_artifact(*job));
+      // The deterministic per-cell merge plus the side channel only the
+      // engine knows: FabricStats and the fleet's worker registries.
+      job->artifacts.emplace_back(
+          "metrics",
+          campaign::metrics_json(job->spec.name, job->cells_planned,
+                                 job->results,
+                                 [this](campaign::json::Writer* w) {
+                                   write_fleet_sections(
+                                       w, engine_->stats,
+                                       engine_->worker_stats(), opts_.obs);
+                                 }) +
+              "\n");
     }
     for (const auto& [name, bytes] : job->artifacts) {
       if (job->client_fd >= 0) {

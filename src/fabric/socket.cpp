@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netdb.h>
+#include <poll.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -226,6 +227,45 @@ bool send_all(int fd, const void* data, std::size_t n) {
     off += static_cast<std::size_t>(w);
   }
   return true;
+}
+
+bool read_frame(int fd, FrameReader* reader, Frame* out, int idle_timeout_ms,
+                const std::atomic<bool>* hb_failed, ReadFail* why) {
+  if (why != nullptr) *why = ReadFail::kNone;
+  int idle_ms = 0;
+  for (;;) {
+    if (reader->next(out)) return true;
+    if (why != nullptr) *why = ReadFail::kIo;
+    if (reader->corrupt()) return false;
+    struct pollfd p = {fd, POLLIN, 0};
+    const int pr = poll(&p, 1, 250);
+    if (pr < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (pr == 0) {
+      if (hb_failed != nullptr &&
+          hb_failed->load(std::memory_order_relaxed)) {
+        if (why != nullptr) *why = ReadFail::kHeartbeat;
+        return false;  // our own beats bounce: the link is gone
+      }
+      idle_ms += 250;
+      if (idle_timeout_ms > 0 && idle_ms >= idle_timeout_ms) {
+        if (why != nullptr) *why = ReadFail::kIdle;
+        return false;
+      }
+      continue;
+    }
+    char buf[65536];
+    const ssize_t n = recv(fd, buf, sizeof buf, 0);
+    if (n == 0) return false;
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN) continue;
+      return false;
+    }
+    idle_ms = 0;
+    reader->feed(buf, static_cast<std::size_t>(n));
+  }
 }
 
 }  // namespace pfi::fabric

@@ -8,7 +8,10 @@
 // mid-write surfaces as an error return, never SIGPIPE.
 #pragma once
 
+#include <atomic>
 #include <string>
+
+#include "fabric/wire.hpp"
 
 namespace pfi::fabric {
 
@@ -62,5 +65,21 @@ int dial(const std::string& address, std::string* err);
 
 /// Write all of `data` (MSG_NOSIGNAL, EINTR-retrying). False on error.
 bool send_all(int fd, const void* data, std::size_t n);
+
+/// Why read_frame gave up, so the flight recorder can tell an idle
+/// timeout from a bounced heartbeat from a plain dead socket.
+enum class ReadFail { kNone, kIo, kIdle, kHeartbeat };
+
+/// The one blocking read of the next complete frame off `fd`. It polls in
+/// short slices, so with idle_timeout_ms > 0 a silent partition (peer host
+/// gone without an RST) surfaces after that long, or the moment
+/// *hb_failed reports a failed heartbeat send, instead of blocking in
+/// recv() for TCP's many-minute retransmission timeout; idle_timeout_ms 0
+/// waits as long as the peer keeps the link open (what a client wants).
+/// False on EOF, error, corruption or timeout.
+bool read_frame(int fd, FrameReader* reader, Frame* out,
+                int idle_timeout_ms = 0,
+                const std::atomic<bool>* hb_failed = nullptr,
+                ReadFail* why = nullptr);
 
 }  // namespace pfi::fabric

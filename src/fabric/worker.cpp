@@ -9,7 +9,6 @@
 #include <mutex>
 #include <thread>
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -23,56 +22,6 @@
 namespace pfi::fabric {
 
 namespace {
-
-/// Why read_frame gave up — so the flight recorder can tell an idle
-/// timeout from a bounced heartbeat from a plain dead socket.
-enum class ReadFail { kNone, kIo, kIdle, kHeartbeat };
-
-/// Blocking read of the next complete frame, with a liveness bound: polls
-/// in short slices so a silent partition (coordinator host gone without an
-/// RST) surfaces after idle_timeout_ms — or the moment the heartbeat
-/// thread reports a failed send — instead of blocking in recv() for TCP's
-/// many-minute retransmission timeout. False on EOF/error/corruption/
-/// timeout; the caller treats every false the same way (reconnect or die).
-bool read_frame(int fd, FrameReader* reader, Frame* out, int idle_timeout_ms,
-                const std::atomic<bool>* hb_failed = nullptr,
-                ReadFail* why = nullptr) {
-  if (why != nullptr) *why = ReadFail::kNone;
-  int idle_ms = 0;
-  for (;;) {
-    if (reader->next(out)) return true;
-    if (why != nullptr) *why = ReadFail::kIo;
-    if (reader->corrupt()) return false;
-    struct pollfd p = {fd, POLLIN, 0};
-    const int pr = poll(&p, 1, 250);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (pr == 0) {
-      if (hb_failed != nullptr &&
-          hb_failed->load(std::memory_order_relaxed)) {
-        if (why != nullptr) *why = ReadFail::kHeartbeat;
-        return false;  // our own beats bounce: the link is gone
-      }
-      idle_ms += 250;
-      if (idle_timeout_ms > 0 && idle_ms >= idle_timeout_ms) {
-        if (why != nullptr) *why = ReadFail::kIdle;
-        return false;
-      }
-      continue;
-    }
-    char buf[65536];
-    const ssize_t n = recv(fd, buf, sizeof buf, 0);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return false;
-    }
-    idle_ms = 0;
-    reader->feed(buf, static_cast<std::size_t>(n));
-  }
-}
 
 /// Capped exponential backoff: 100 ms doubling to a 2 s ceiling.
 int backoff_ms(int attempt) {

@@ -10,7 +10,7 @@
 //
 //   * pfi_campaign --lint groups cells whose canonical keys match and
 //     reports the provably-equivalent duplicates;
-//   * pfi_search answers equivalent mutants from the representative's
+//   * the search engine answers equivalent mutants from the representative's
 //     record without simulating them (SearchResult::equiv_skipped).
 //
 // Soundness contract: canonicalize(s).compile() and s.compile() drive

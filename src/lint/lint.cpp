@@ -948,11 +948,9 @@ std::vector<Diagnostic> check_spec_text(const std::string& text,
                                         const std::string& file,
                                         const Options& opts) {
   std::string err;
-  const auto spec = campaign::parse_spec(text, &err);
+  int line = 0;
+  const auto spec = campaign::parse_spec(text, &err, &line);
   if (!spec) {
-    // parse_spec errors read "line N: message".
-    int line = 0;
-    if (err.rfind("line ", 0) == 0) line = std::atoi(err.c_str() + 5);
     return {{Severity::kError, "parse-error", file, line, 0, err, {}}};
   }
   return check_spec(*spec, file, text, opts);

@@ -1,6 +1,7 @@
 #include "search/search.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -8,10 +9,12 @@
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/json.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "lint/canonical.hpp"
 #include "lint/lint.hpp"
 #include "obs/coverage.hpp"
+#include "pfi/script_file.hpp"
 #include "search/mutate.hpp"
 #include "search/prng.hpp"
 
@@ -510,6 +513,29 @@ std::string report_json(const campaign::CampaignSpec& spec,
   w.end_array();
   w.end_object();
   return w.str();
+}
+
+int write_corpus_scripts(const Corpus& corpus, const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);  // write_file reports failure
+  int written = 0;
+  for (std::size_t i = 0; i < corpus.entries().size(); ++i) {
+    const CorpusEntry& e = corpus.entries()[i];
+    if (e.schedule.empty()) continue;
+    const core::failure::Scripts s = e.schedule.compile();
+    core::ScriptFile file;
+    file.setup = s.setup;
+    file.send = s.send;
+    file.receive = s.receive;
+    const std::string path = dir + "/corpus_" + std::to_string(i) + "_" +
+                             e.digest.substr(0, 8) + ".tcl";
+    if (!campaign::write_file_or_stdout(path,
+                                        core::render_script_sections(file))) {
+      return -1;
+    }
+    ++written;
+  }
+  return written;
 }
 
 }  // namespace pfi::search

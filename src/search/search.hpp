@@ -122,4 +122,10 @@ SearchResult explore(const campaign::CampaignSpec& spec,
 std::string report_json(const campaign::CampaignSpec& spec,
                         const SearchOptions& opts, const SearchResult& res);
 
+/// Write each corpus schedule to `dir` (created if missing) as a sectioned
+/// .tcl file, corpus_<i>_<digest8>.tcl: lintable with `pfi_lint --strict`
+/// and re-runnable through a literal-script spec. Returns the number of
+/// files written, or -1 when one could not be written.
+int write_corpus_scripts(const Corpus& corpus, const std::string& dir);
+
 }  // namespace pfi::search

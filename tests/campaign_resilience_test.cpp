@@ -16,6 +16,7 @@
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/kv.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sandbox.hpp"
 #include "campaign/schedule.hpp"
@@ -210,10 +211,13 @@ TEST(ResilienceExecutor, IsolatedCampaignSurvivesHangAndCrash) {
   EXPECT_EQ(record_json(r1[0]), record_json(run_cell(cells[0])));
   EXPECT_EQ(record_json(r1[3]), record_json(run_cell(cells[3])));
 
-  const Summary sum = summarize(r1);
-  EXPECT_EQ(sum.total, 4);
-  EXPECT_EQ(sum.passed, 2);
-  EXPECT_EQ(sum.errored, 2);
+  std::vector<std::string> records(cells.size());
+  splice_records(cells, r1, &records);
+  const RecordTally sum = tally_records(records);
+  EXPECT_EQ(sum.pass, 2);
+  EXPECT_EQ(sum.error, 2);
+  EXPECT_EQ(sum.failing_ids, (std::vector<std::string>{cells[1].id,
+                                                       cells[2].id}));
 }
 
 // ---------------------------------------------------------------------------
@@ -320,9 +324,10 @@ TEST(ResilienceExecutor, ShouldStopSkipsRemainingCells) {
   opts.on_result = [&](const RunResult&) { stop = true; };
   opts.should_stop = [&] { return stop; };
   const auto results = run_cells(cells, opts);
-  const Summary sum = summarize(results);
-  EXPECT_EQ(sum.total, 6);
-  EXPECT_EQ(sum.passed, 1);
+  std::vector<std::string> records(cells.size());
+  splice_records(cells, results, &records);
+  const RecordTally sum = tally_records(records);
+  EXPECT_EQ(sum.pass, 1);
   EXPECT_EQ(sum.skipped, 5);
   EXPECT_EQ(results[5].index, -1);  // never claimed
 }

@@ -8,6 +8,7 @@
 
 #include "campaign/executor.hpp"
 #include "campaign/minimize.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/schedule.hpp"
 #include "campaign/spec.hpp"
@@ -67,6 +68,15 @@ TEST(CampaignSpec, RejectsGarbage) {
   EXPECT_FALSE(parse_spec("bogus_key 1\n", &err).has_value());
   // No fault axis at all.
   EXPECT_FALSE(parse_spec("protocol gmp\n", &err).has_value());
+  // An unknown vendor is a positioned error, not SunOS under the typo.
+  int line = 0;
+  EXPECT_FALSE(parse_spec("protocol tcp\ntypes a\nvendors solarsi sunos\n",
+                          &err, &line)
+                   .has_value());
+  EXPECT_EQ(err,
+            "line 3: unknown vendor 'solarsi' "
+            "(want sunos|aix|next|solaris|reference)");
+  EXPECT_EQ(line, 3);
   // Numbers are strict: a whole in-range integer or a positioned error,
   // never a wrapped, saturated or truncated value.
   ASSERT_TRUE(parse_spec("types a\n", &err).has_value()) << err;
@@ -184,9 +194,11 @@ TEST(CampaignExecutor, CallbackSeesEveryCell) {
   opts.on_result = [&](const RunResult& r) { seen.insert(r.index); };
   const auto results = run_cells(cells, opts);
   EXPECT_EQ(seen.size(), cells.size());
-  const Summary sum = summarize(results);
-  EXPECT_EQ(sum.total, static_cast<int>(cells.size()));
-  EXPECT_EQ(sum.passed + sum.failed + sum.errored, sum.total);
+  std::vector<std::string> records(cells.size());
+  splice_records(cells, results, &records);
+  const RecordTally sum = tally_records(records);
+  EXPECT_EQ(sum.pass + sum.fail + sum.error, static_cast<int>(cells.size()));
+  EXPECT_EQ(sum.skipped, 0);
 }
 
 TEST(CampaignRunner, LiteralScriptFileCellReportsMissingFile) {
@@ -270,6 +282,14 @@ TEST(CampaignRunner, TcpAndTpcProtocolsExecute) {
   const RunResult tr = run_cell(tcp_cell);
   EXPECT_TRUE(tr.error.empty()) << tr.error;
   EXPECT_GT(tr.messages_seen, 0u);
+
+  // A vendor outside the table (a LEASE frame can carry any name) is an
+  // error record, never a SunOS run under the typo's label.
+  tcp_cell.vendor = "solarsi";
+  const RunResult unknown = run_cell(tcp_cell);
+  EXPECT_EQ(unknown.error,
+            "unknown vendor 'solarsi' (want sunos|aix|next|solaris|reference)");
+  EXPECT_EQ(unknown.messages_seen, 0u);
 
   RunCell tpc_cell;
   tpc_cell.protocol = "tpc";

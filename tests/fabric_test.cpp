@@ -24,10 +24,12 @@
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/kv.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sandbox.hpp"
 #include "campaign/schedule.hpp"
 #include "campaign/spec.hpp"
+#include "fabric/client.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/flight.hpp"
 #include "fabric/service.hpp"
@@ -278,15 +280,7 @@ TEST(Fabric, VersionMismatchIsRejectedWithByeReason) {
 
   FrameReader reader;
   Frame f;
-  bool got = false;
-  char buf[4096];
-  for (int i = 0; i < 200 && !got; ++i) {
-    const ssize_t n = recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) break;
-    reader.feed(buf, static_cast<std::size_t>(n));
-    got = reader.next(&f);
-  }
-  ASSERT_TRUE(got);
+  ASSERT_TRUE(read_frame(fd, &reader, &f));
   EXPECT_EQ(f.type, FrameType::kBye);
   const std::string reason = decode_bye(f.payload);
   EXPECT_NE(reason.find("version mismatch"), std::string::npos) << reason;
@@ -327,15 +321,7 @@ TEST(Fabric, WrongTokenIsRejectedBeforeAnyState) {
 
   FrameReader reader;
   Frame f;
-  bool got = false;
-  char buf[4096];
-  for (int i = 0; i < 200 && !got; ++i) {
-    const ssize_t n = recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) break;
-    reader.feed(buf, static_cast<std::size_t>(n));
-    got = reader.next(&f);
-  }
-  ASSERT_TRUE(got);
+  ASSERT_TRUE(read_frame(fd, &reader, &f));
   EXPECT_EQ(f.type, FrameType::kBye);
   EXPECT_NE(decode_bye(f.payload).find("auth failed"), std::string::npos);
   close(fd);
@@ -830,60 +816,50 @@ TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
     run_service(&listener, sopts, &stats);
   });
 
-  const int fd = dial(listener.address(), &err);
-  ASSERT_GE(fd, 0) << err;
-  Hello hello;
-  hello.role = "client";
-  std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
-  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
+  Client client;
+  ASSERT_TRUE(client.connect(listener.address(), "", "test-client", &err))
+      << err;
   Submit submit;
   submit.spec_text = spec_text;
-  bytes = encode_frame(FrameType::kSubmit, encode_submit(submit));
-  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
-
-  FrameReader reader;
-  Frame f;
+  ASSERT_TRUE(client.submit(submit, &err)) << err;
   int progress_frames = 0;
   std::string report, journal, done, streamed;
   int journal_chunks = 0;
-  while (done.empty()) {
-    char buf[65536];
-    const ssize_t n = recv(fd, buf, sizeof buf, 0);
-    ASSERT_GT(n, 0) << "daemon closed before DONE";
-    reader.feed(buf, static_cast<std::size_t>(n));
-    while (reader.next(&f)) {
-      if (f.type == FrameType::kProgress) {
-        ++progress_frames;
-      } else if (f.type == FrameType::kArtifact) {
-        std::string name, content, chunk;
-        ASSERT_TRUE(decode_artifact(f.payload, &name, &content, &chunk));
-        if (name == "report") report = content;
-        if (name == "journal") {
-          if (chunk.empty()) {
-            journal = content;  // the complete final document
-          } else {
-            ++journal_chunks;   // one live record line, streamed mid-run
-            streamed += content;
-          }
-        }
-      } else if (f.type == FrameType::kDone) {
-        done = decode_json_line(f.payload);
-      }
+  SubmitHandlers h;
+  h.on_progress = [&](const std::string&) { ++progress_frames; };
+  h.on_artifact = [&](const std::string& name, const std::string& content,
+                      const std::string& chunk) {
+    if (name == "report") report = content;
+    if (name != "journal") return;
+    if (chunk.empty()) {
+      journal = content;  // the complete final document
+    } else {
+      ++journal_chunks;  // one live record line, streamed mid-run
+      streamed += content;
     }
-  }
-  close(fd);
+  };
+  h.on_done = [&](const std::string& json) { done = json; };
+  const int rc = client.wait(h, &err);
   stop.store(true);
   daemon.join();
   reap_local_workers(&pool);
 
   EXPECT_GE(progress_frames, static_cast<int>(cells.size()));
   EXPECT_NE(done.find("\"status\":\"ok\""), std::string::npos) << done;
-  // Every baseline record appears, byte-identical, in the daemon's report.
-  ASSERT_FALSE(report.empty());
-  for (const RunResult& r : baseline) {
-    EXPECT_NE(report.find(campaign::record_json(r)), std::string::npos)
-        << r.id;
-  }
+  // The daemon's report is the shared writer's document for the in-process
+  // baseline, byte for byte: a local run differs only in the host fields.
+  campaign::CampaignReport local;
+  local.records.resize(cells.size());
+  campaign::splice_records(cells, baseline, &local.records);
+  const campaign::RecordTally tally = campaign::tally_records(local.records);
+  EXPECT_EQ(report, campaign::report_json(*spec, local, tally) + "\n");
+  EXPECT_EQ(rc, tally.fail + tally.error > 0 ? 1 : 0) << err;
+  // The layout docs/CAMPAIGN.md pins: failing_ids inside the summary.
+  const auto doc = campaign::json::parse(report);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->find("failing_ids"), nullptr);
+  ASSERT_NE(doc->find("summary"), nullptr);
+  EXPECT_NE(doc->find("summary")->find("failing_ids"), nullptr);
   // The journal artifact is the sorted normal form keyed by content hash.
   ASSERT_FALSE(journal.empty());
   std::size_t lines = 0;
@@ -937,40 +913,26 @@ TEST(FabricService, RunsTwoJobsConcurrentlyOverOnePool) {
   // Two clients submit before either job can finish; the scheduler must
   // run both at once (leases round-robin over the shared pool) rather
   // than serialising them.
-  int fds[2];
+  Client clients[2];
   for (int c = 0; c < 2; ++c) {
-    fds[c] = dial(listener.address(), &err);
-    ASSERT_GE(fds[c], 0) << err;
-    Hello hello;
-    hello.role = "client";
-    hello.name = "client-" + std::to_string(c);
-    std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
-    ASSERT_TRUE(send_all(fds[c], bytes.data(), bytes.size()));
+    ASSERT_TRUE(clients[c].connect(listener.address(), "",
+                                   "client-" + std::to_string(c), &err))
+        << err;
     Submit submit;
     submit.spec_text = spec_text;
     // Per-job quota: with 2 workers and 2 jobs capped at 1 worker each,
     // concurrency is forced rather than merely possible.
     submit.max_workers = 1;
-    bytes = encode_frame(FrameType::kSubmit, encode_submit(submit));
-    ASSERT_TRUE(send_all(fds[c], bytes.data(), bytes.size()));
+    ASSERT_TRUE(clients[c].submit(submit, &err)) << err;
   }
 
   int progress[2] = {0, 0};
   std::string done[2];
   for (int c = 0; c < 2; ++c) {
-    FrameReader reader;
-    Frame f;
-    while (done[c].empty()) {
-      char buf[65536];
-      const ssize_t n = recv(fds[c], buf, sizeof buf, 0);
-      ASSERT_GT(n, 0) << "daemon closed client " << c << " before DONE";
-      reader.feed(buf, static_cast<std::size_t>(n));
-      while (reader.next(&f)) {
-        if (f.type == FrameType::kProgress) ++progress[c];
-        if (f.type == FrameType::kDone) done[c] = decode_json_line(f.payload);
-      }
-    }
-    close(fds[c]);
+    SubmitHandlers h;
+    h.on_progress = [&](const std::string&) { ++progress[c]; };
+    h.on_done = [&](const std::string& json) { done[c] = json; };
+    clients[c].wait(h, &err);
   }
   stop.store(true);
   daemon.join();
@@ -1278,36 +1240,13 @@ TEST(FabricService, StatusAnswersLiveAndMetricsArtifactCoversTheFleet) {
     run_service(&listener, sopts, &stats);
   });
 
-  const int fd = dial(listener.address(), &err);
-  ASSERT_GE(fd, 0) << err;
-  Hello hello;
-  hello.role = "client";
-  std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
-  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
-
-  FrameReader reader;
-  Frame f;
-  auto read_frame = [&]() {
-    for (;;) {
-      if (reader.next(&f)) return true;
-      char buf[65536];
-      const ssize_t n = recv(fd, buf, sizeof buf, 0);
-      if (n <= 0) return false;
-      reader.feed(buf, static_cast<std::size_t>(n));
-    }
-  };
+  Client client;
+  ASSERT_TRUE(client.connect(listener.address(), "", "test-client", &err))
+      << err;
 
   // STATUS before any job: deterministic schema, zero counters.
-  bytes = encode_frame(FrameType::kStatus, "");
-  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
   std::string status;
-  while (read_frame()) {
-    if (f.type == FrameType::kStatus) {
-      status = decode_json_line(f.payload);
-      break;
-    }
-  }
-  ASSERT_FALSE(status.empty());
+  ASSERT_TRUE(client.status(&status, &err)) << err;
   for (const char* key :
        {"\"daemon\":", "\"jobs\":", "\"workers\":", "\"fabric\":",
         "\"fleet_metrics\":"}) {
@@ -1319,18 +1258,15 @@ TEST(FabricService, StatusAnswersLiveAndMetricsArtifactCoversTheFleet) {
   // object plus the fleet/fabric side channel.
   Submit submit;
   submit.spec_text = spec_text;
-  bytes = encode_frame(FrameType::kSubmit, encode_submit(submit));
-  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
+  ASSERT_TRUE(client.submit(submit, &err)) << err;
   std::string metrics, done;
-  while (done.empty() && read_frame()) {
-    if (f.type == FrameType::kArtifact) {
-      std::string name, content, chunk;
-      ASSERT_TRUE(decode_artifact(f.payload, &name, &content, &chunk));
-      if (name == "metrics" && chunk.empty()) metrics = content;
-    } else if (f.type == FrameType::kDone) {
-      done = decode_json_line(f.payload);
-    }
-  }
+  SubmitHandlers h;
+  h.on_artifact = [&](const std::string& name, const std::string& content,
+                      const std::string& chunk) {
+    if (name == "metrics" && chunk.empty()) metrics = content;
+  };
+  h.on_done = [&](const std::string& json) { done = json; };
+  client.wait(h, &err);
   EXPECT_NE(done.find("\"status\":\"ok\""), std::string::npos) << done;
   ASSERT_FALSE(metrics.empty());
   for (const char* key : {"\"campaign\":", "\"metrics\":", "\"fabric\":",
@@ -1339,20 +1275,10 @@ TEST(FabricService, StatusAnswersLiveAndMetricsArtifactCoversTheFleet) {
   }
 
   // STATUS again: the daemon's counters advanced.
-  bytes = encode_frame(FrameType::kStatus, "");
-  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
-  status.clear();
-  while (read_frame()) {
-    if (f.type == FrameType::kStatus) {
-      status = decode_json_line(f.payload);
-      break;
-    }
-  }
-  ASSERT_FALSE(status.empty());
+  ASSERT_TRUE(client.status(&status, &err)) << err;
   EXPECT_NE(status.find("\"jobs_accepted\":1"), std::string::npos) << status;
   EXPECT_NE(status.find("\"jobs_completed\":1"), std::string::npos) << status;
 
-  close(fd);
   stop.store(true);
   daemon.join();
   reap_local_workers(&pool);

@@ -742,6 +742,12 @@ TEST(LintSarif, StructuredReport) {
   for (const auto& info : rule_catalog()) {
     EXPECT_FALSE(info.description.empty()) << info.id;
   }
+  // The catalog is sorted by id (SARIF consumers and the CI check rely on
+  // it).
+  const auto& rules = rule_catalog();
+  for (std::size_t i = 1; i < rules.size(); ++i) {
+    EXPECT_LT(rules[i - 1].id, rules[i].id);
+  }
   // An empty diagnostic list is still a valid single-run log.
   const std::string empty_doc = diagnostics_sarif({});
   EXPECT_NE(empty_doc.find("\"results\":[]"), std::string::npos);
