@@ -238,9 +238,16 @@ int run_merge(const Args& a, const std::vector<std::string>& journals) {
 }
 
 /// Client mode: the daemon parses, plans and executes; we stream its
-/// progress and write the returned artifacts where the local flags would
-/// have put them.
-int run_submit(const Args& a) {
+/// progress and write what comes back where the local flags would have
+/// put it. A campaign's report is built here from the records we hold,
+/// journaled and fresh, the way a local --resume run builds it.
+int run_submit(const Args& a, const CampaignSpec& spec) {
+  // The daemon plans the spec text with the same budgets and filter.
+  const auto cells = filter_cells(plan(spec), a.filter);
+  if (a.explore == 0 && cells.empty()) {
+    print_error("no cells match");
+    return 2;
+  }
   std::ifstream in(a.spec_path);
   std::ostringstream text;
   text << in.rdbuf();
@@ -262,18 +269,6 @@ int run_submit(const Args& a) {
   s.retries = a.retries;
   s.explore = a.explore;
   s.max_workers = a.max_workers;
-  if (a.resume) {
-    // Hand the daemon what we already hold: it executes only the rest.
-    // (A previous submit killed mid-stream left its delivered records in
-    // the journal — exactly the chunks the daemon streamed to us.)
-    for (const auto& [key, record] : load_journal(journal_path)) {
-      s.have.push_back(key);
-    }
-  }
-  if (!client.submit(s, &err)) {
-    print_error(err);
-    return 2;
-  }
 
   // Live journal stream: each chunk is one record line, so a client killed
   // mid-run already holds every record that reached it and the next
@@ -310,8 +305,21 @@ int run_submit(const Args& a) {
       std::fprintf(stderr, "%s\n", json.c_str());
     };
   }
-  err.clear();
-  int rc = client.wait(h, &err);
+  int rc = 2;
+  if (a.explore > 0) {
+    if (client.submit(s, &err)) rc = client.wait(h, &err);
+  } else {
+    std::map<std::string, std::string> journal;
+    if (a.resume) journal = load_journal(journal_path);
+    CampaignReport report;
+    rc = client.submit_campaign(s, cells, &journal, h, &report, &err);
+    if (rc != 2 &&
+        !write_file_or_stdout(
+            a.out, report_json(spec, report, tally_records(report.records)) +
+                       "\n")) {
+      write_failed = true;
+    }
+  }
   if (!err.empty()) print_error(err);
   if (journal_started) {
     // The file now holds overlapping sets (prior records on --resume,
@@ -439,46 +447,37 @@ int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
   // ---- journal: content keys, prior records, the todo subset --------------
   const bool journaling = a.resume || !a.journal.empty();
   const std::string journal_path = journal_path_for(a);
-  std::vector<std::string> keys;
   std::map<std::string, std::string> prior;
-  if (journaling) {
-    keys.reserve(cells.size());
-    for (const auto& c : cells) keys.push_back(cell_key(c));
-    if (a.resume) prior = load_journal(journal_path);
-  }
+  if (a.resume) prior = load_journal(journal_path);
+  JournalSplit split = split_by_journal(cells, journaling ? &prior : nullptr);
   CampaignReport report;
   report.jobs = std::max(1, a.jobs);
   // records[i] is plan slot i's JSON record; empty = not run (interrupted).
-  report.records.resize(cells.size());
+  report.records = std::move(split.records);
+  report.resumed = split.answered;
   std::vector<RunCell> todo;
   std::map<std::string, std::vector<std::string>> equiv_groups;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto hit = journaling ? prior.find(keys[i]) : prior.end();
-    if (hit != prior.end()) {
-      report.records[i] = rewrite_index(hit->second, cells[i].index);
-      ++report.resumed;
-      continue;
-    }
+  for (RunCell& cell : split.todo) {
     if (a.lint > 0) {
       // Lint runs sequentially over the plan, before the worker pool, so
       // rejected cells produce records that are byte-identical whatever
       // --jobs or --isolate was — the timeout-record discipline.
-      const auto diags = pfi::lint::check_cell(cells[i]);
+      const auto diags = pfi::lint::check_cell(cell);
       if (pfi::lint::has_errors(diags) || (a.lint == 2 && !diags.empty())) {
-        report.records[i] =
-            record_json(pfi::lint::lint_error_result(cells[i], diags));
+        report.records[static_cast<std::size_t>(cell.index)] =
+            record_json(pfi::lint::lint_error_result(cell, diags));
         ++report.lint_rejected;
         if (!a.quiet) {
-          std::fprintf(stderr, "  lint %-40s %s\n", cells[i].id.c_str(),
+          std::fprintf(stderr, "  lint %-40s %s\n", cell.id.c_str(),
                        pfi::lint::format_text(diags.front()).c_str());
         }
         continue;
       }
-      if (cells[i].script_file.empty() && cells[i].conform_file.empty()) {
-        equiv_groups[equiv_group_key(cells[i])].push_back(cells[i].id);
+      if (cell.script_file.empty() && cell.conform_file.empty()) {
+        equiv_groups[equiv_group_key(cell)].push_back(cell.id);
       }
     }
-    todo.push_back(cells[i]);  // keeps its plan index
+    todo.push_back(std::move(cell));  // keeps its plan index
   }
   for (const auto& [key, ids] : equiv_groups) {
     if (ids.size() < 2) continue;
@@ -568,7 +567,8 @@ int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
     ++done;
     ++(r.errored() ? live_err : r.pass ? live_pass : live_fail);
     if (journal.is_open() && has_slot(r)) {
-      journal.append(keys[static_cast<std::size_t>(r.index)], record_json(r));
+      journal.append(split.keys[static_cast<std::size_t>(r.index)],
+                     record_json(r));
     }
     if (a.quiet) return;
     if (!r.pass || r.errored()) {
@@ -855,17 +855,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!a.submit.empty()) return run_submit(a);
+  // CLI overrides win over the spec's own resilience knobs (the daemon
+  // applies SUBMIT's copies the same way before it plans).
+  if (a.timeout_ms >= 0) spec->timeout_ms = a.timeout_ms;
+  if (a.max_events >= 0) {
+    spec->max_sim_events = static_cast<std::uint64_t>(a.max_events);
+  }
+  if (!a.submit.empty()) return run_submit(a, *spec);
   if ((a.workers > 0 || !a.listen.empty()) && a.explore > 0) {
     return parser.fail(
         "--workers applies to the static matrix; distribute --explore "
         "through pfi_fabricd + --submit instead");
-  }
-
-  // CLI overrides win over the spec's own resilience knobs.
-  if (a.timeout_ms >= 0) spec->timeout_ms = a.timeout_ms;
-  if (a.max_events >= 0) {
-    spec->max_sim_events = static_cast<std::uint64_t>(a.max_events);
   }
   const int retries = a.retries >= 0 ? a.retries : spec->retries;
   if (a.explore > 0) return run_explore(a, *spec, retries);

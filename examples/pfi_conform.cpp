@@ -7,9 +7,12 @@
 //
 // A .pdt timeline (docs/CONFORMANCE.md) is a packetdrill-style script of
 // `inject` / `expect` / `expect-no` steps. This tool compiles it to PFI
-// filter scripts, runs it against each requested vendor TcpProfile via the
-// campaign runner (so records match `pfi_campaign --suite` byte for byte),
-// and prints a per-step pass/fail table with the first divergence.
+// filter scripts, plans one cell per requested vendor TcpProfile with the
+// suite planner, runs each via the campaign runner and prints a per-step
+// pass/fail table with the first divergence. Cell ids come from the file
+// stem and indices from the plan, and `--vendor V` selects cells as
+// `--filter tcp/V/` does, so `--json` records match `pfi_campaign --suite`
+// over a directory holding only this file, byte for byte.
 //
 // Exit status: 0 every vendor conforms, 1 any step diverged (or a run
 // errored), 2 usage / parse / lint error.
@@ -89,12 +92,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<std::string> vendors;
-  if (!vendor.empty()) {
-    vendors.push_back(vendor);
-  } else {
-    vendors = pfi::campaign::suite_vendors();
-  }
+  // The reference stack is no suite vendor, but --vendor may name it.
+  std::vector<pfi::campaign::RunCell> cells;
+  pfi::campaign::plan_timeline(path, *prog,
+                               vendor.empty()
+                                   ? pfi::campaign::suite_vendors()
+                                   : pfi::campaign::vendor_names(),
+                               &cells);
+  cells = pfi::campaign::filter_cells(
+      std::move(cells), vendor.empty() ? "" : "tcp/" + vendor + "/");
 
   if (!quiet && !json) {
     std::printf("%s (%s): scenario %s, duration %.3fs, %zu step(s)\n",
@@ -104,20 +110,7 @@ int main(int argc, char** argv) {
   }
 
   int failed = 0;
-  for (const std::string& v : vendors) {
-    pfi::campaign::RunCell cell;
-    cell.index = 0;
-    cell.id = "tcp/" + v + "/" + prog->name + "/s" +
-              std::to_string(prog->seed);
-    cell.protocol = "tcp";
-    cell.oracle = "conformance";
-    cell.vendor = v;
-    cell.conform_file = path;
-    cell.scenario = prog->scenario;
-    cell.seed = prog->seed;
-    cell.warmup = 0;
-    cell.duration = prog->duration;
-
+  for (const pfi::campaign::RunCell& cell : cells) {
     const pfi::campaign::RunResult r = pfi::campaign::run_cell(cell);
     const bool bad = !r.pass || r.errored();
     if (bad) ++failed;
@@ -126,7 +119,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (!quiet) {
-      std::printf("\nvendor %s: %s\n", v.c_str(),
+      std::printf("\nvendor %s: %s\n", cell.vendor.c_str(),
                   r.errored() ? ("ERROR " + r.error).c_str()
                               : (r.pass ? "PASS" : "FAIL"));
       for (const std::string& step : r.steps) {
@@ -139,7 +132,7 @@ int main(int argc, char** argv) {
   }
   if (!json) {
     std::printf("%s%zu vendor(s): %zu pass, %d fail\n", quiet ? "" : "\n",
-                vendors.size(), vendors.size() - failed, failed);
+                cells.size(), cells.size() - failed, failed);
   }
   return failed > 0 ? 1 : 0;
 }

@@ -88,10 +88,9 @@ std::string cell_key(const RunCell& cell) {
   return buf;
 }
 
-std::map<std::string, std::string> load_journal(const std::string& path) {
-  std::map<std::string, std::string> out;
-  std::ifstream in(path);
-  if (!in) return out;
+void parse_journal(const std::string& text,
+                   std::map<std::string, std::string>* entries) {
+  std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
     // {"key":"<16 hex>","record":{...}}; a torn line (killed mid-append)
@@ -106,8 +105,17 @@ std::map<std::string, std::string> load_journal(const std::string& path) {
       continue;
     }
     // The record's own bytes, exactly as journaled; later lines win.
-    out[key->text] = line.substr(rec->begin, rec->end - rec->begin);
+    (*entries)[key->text] = line.substr(rec->begin, rec->end - rec->begin);
   }
+}
+
+std::map<std::string, std::string> load_journal(const std::string& path) {
+  std::map<std::string, std::string> out;
+  std::ifstream in(path);
+  if (!in) return out;
+  std::ostringstream text;
+  text << in.rdbuf();
+  parse_journal(text.str(), &out);
   return out;
 }
 

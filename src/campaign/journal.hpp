@@ -34,8 +34,12 @@ namespace pfi::campaign {
 /// hash the compiled filter scripts.
 std::string cell_key(const RunCell& cell);
 
-/// Load key -> record from a journal file (missing file = empty map; a
-/// malformed/torn line is skipped; later lines win on duplicate keys).
+/// Add journal text's key -> record lines to *entries (a malformed/torn
+/// line is skipped; later lines win on duplicate keys).
+void parse_journal(const std::string& text,
+                   std::map<std::string, std::string>* entries);
+
+/// parse_journal over a file's contents (missing file = empty map).
 std::map<std::string, std::string> load_journal(const std::string& path);
 
 /// Rewrite the leading "index":N of a stored record to the cell's position

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <map>
 
+#include "campaign/journal.hpp"
+
 namespace pfi::campaign {
 
 bool write_file_or_stdout(const std::string& path, const std::string& bytes,
@@ -18,6 +20,26 @@ bool write_file_or_stdout(const std::string& path, const std::string& bytes,
   }
   std::fwrite(bytes.data(), 1, bytes.size(), f);
   return std::fclose(f) == 0;
+}
+
+JournalSplit split_by_journal(
+    const std::vector<RunCell>& cells,
+    const std::map<std::string, std::string>* journal) {
+  JournalSplit split;
+  split.records.resize(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (journal != nullptr) {
+      split.keys.push_back(cell_key(cells[i]));
+      const auto hit = journal->find(split.keys.back());
+      if (hit != journal->end()) {
+        split.records[i] = rewrite_index(hit->second, cells[i].index);
+        ++split.answered;
+        continue;
+      }
+    }
+    split.todo.push_back(cells[i]);
+  }
+  return split;
 }
 
 void splice_records(const std::vector<RunCell>& cells,

@@ -1,11 +1,13 @@
 // The campaign report and metrics documents, written once for every
-// producer: `pfi_campaign` running locally and the `pfi_fabricd` daemon
-// answering a SUBMIT build them through the same functions, so the two
-// differ only in the host fields a local run adds (summary.jobs and
-// summary.wall_ms). docs/CAMPAIGN.md pins both layouts.
+// producer: `pfi_campaign` running locally or as a `pfi_fabricd` client
+// (the daemon adds only the metrics document) builds them through the
+// same functions, so the two differ only in the host fields a local run
+// adds (summary.jobs and summary.wall_ms). docs/CAMPAIGN.md pins both
+// layouts.
 #pragma once
 
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -22,6 +24,23 @@ namespace pfi::campaign {
 /// False (with a message on stderr) when the file cannot be written.
 bool write_file_or_stdout(const std::string& path, const std::string& bytes,
                           bool append = false);
+
+/// Which planned slots a journal already answers. Every front end resumes
+/// through split_by_journal (a local run, the daemon over SUBMIT.have, the
+/// --submit client), so their reports agree slot for slot.
+struct JournalSplit {
+  std::vector<std::string> keys;     // cells[i]'s cell_key; none w/o journal
+  std::vector<std::string> records;  // journaled, index = slot; "" = to run
+  std::vector<RunCell> todo;         // unanswered cells, plan index kept
+  int answered = 0;                  // cells.size() - todo.size()
+};
+
+/// Split `cells` (numbered 0..n-1, as plan(), plan_suite() and
+/// filter_cells() number them) against `journal` (content key -> record).
+/// A null journal answers nothing and computes no keys.
+JournalSplit split_by_journal(
+    const std::vector<RunCell>& cells,
+    const std::map<std::string, std::string>* journal);
 
 /// Splice executed results into their plan slots: records[i] is cells[i]'s
 /// record_json. Results that never ran (index -1) or whose index matches no

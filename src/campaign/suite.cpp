@@ -39,24 +39,29 @@ std::optional<std::vector<RunCell>> plan_suite(const std::string& dir,
       }
       return std::nullopt;
     }
-    const std::string base = fs::path(file).stem().string();
-    for (const std::string& vendor : suite_vendors()) {
-      RunCell c;
-      c.index = static_cast<int>(cells.size());
-      c.id = "tcp/" + vendor + "/" + base + "/s" +
-             std::to_string(prog->seed);
-      c.protocol = "tcp";
-      c.oracle = "conformance";
-      c.vendor = vendor;
-      c.conform_file = file;
-      c.scenario = prog->scenario;
-      c.seed = prog->seed;
-      c.warmup = 0;
-      c.duration = prog->duration;
-      cells.push_back(std::move(c));
-    }
+    plan_timeline(file, *prog, suite_vendors(), &cells);
   }
   return cells;
+}
+
+void plan_timeline(const std::string& file, const conformance::Program& prog,
+                   const std::vector<std::string>& vendors,
+                   std::vector<RunCell>* cells) {
+  const std::string base = fs::path(file).stem().string();
+  for (const std::string& vendor : vendors) {
+    RunCell c;
+    c.index = static_cast<int>(cells->size());
+    c.id = "tcp/" + vendor + "/" + base + "/s" + std::to_string(prog.seed);
+    c.protocol = "tcp";
+    c.oracle = "conformance";
+    c.vendor = vendor;
+    c.conform_file = file;
+    c.scenario = prog.scenario;
+    c.seed = prog.seed;
+    c.warmup = 0;
+    c.duration = prog.duration;
+    cells->push_back(std::move(c));
+  }
 }
 
 CampaignSpec suite_spec(const std::string& dir) {

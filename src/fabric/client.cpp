@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include "campaign/journal.hpp"
 #include "campaign/json.hpp"
 #include "fabric/socket.hpp"
 
@@ -56,12 +57,52 @@ bool Client::status(std::string* json, std::string* err) {
 }
 
 bool Client::submit(const Submit& s, std::string* err) {
-  explore_ = s.explore > 0;
   if (!send(encode_frame(FrameType::kSubmit, encode_submit(s)))) {
     *err = "submit failed";
     return false;
   }
   return true;
+}
+
+int Client::submit_campaign(Submit s,
+                            const std::vector<campaign::RunCell>& cells,
+                            std::map<std::string, std::string>* journal,
+                            const SubmitHandlers& h,
+                            campaign::CampaignReport* report,
+                            std::string* err) {
+  const campaign::JournalSplit held = campaign::split_by_journal(cells, journal);
+  s.have.clear();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!held.records[i].empty()) s.have.push_back(held.keys[i]);
+  }
+  if (!submit(s, err)) return 2;
+  std::map<std::string, std::string> fresh;  // this job's records, by key
+  SubmitHandlers absorb = h;
+  absorb.on_artifact = [&](const std::string& name, const std::string& bytes,
+                           const std::string& chunk) {
+    if (name == "journal") campaign::parse_journal(bytes, &fresh);
+    if (h.on_artifact) h.on_artifact(name, bytes, chunk);
+  };
+  const int rc = wait(absorb, err);
+  // Journaled records fill their slots by content key, this job's by the
+  // plan index they carry, as a local run splices its results: a script
+  // cell's key hashes the file as each host reads it, so the daemon's key
+  // need not be ours.
+  report->records = held.records;
+  for (const auto& [key, record] : fresh) {
+    (*journal)[key] = record;
+    const auto doc = campaign::json::parse(record);
+    const campaign::json::Value* index = doc ? doc->find("index") : nullptr;
+    std::size_t slot = 0;
+    if (index != nullptr && index->to_int(&slot) && slot < cells.size()) {
+      report->records[slot] = record;
+    }
+  }
+  report->resumed = held.answered;
+  report->interrupted = rc == 130;
+  if (rc == 2 || rc == 130) return rc;
+  const campaign::RecordTally tally = campaign::tally_records(report->records);
+  return tally.fail + tally.error > 0 ? 1 : 0;
 }
 
 int Client::wait(const SubmitHandlers& h, std::string* err) {
@@ -85,13 +126,14 @@ int Client::wait(const SubmitHandlers& h, std::string* err) {
         return 2;
       }
       if (status == "interrupted") return 130;
-      // Counts default to 0 when absent; a malformed one reads as a failure.
+      // Counts default to 0 when absent (a campaign's DONE has no
+      // violations, a search's no fail or error); a malformed one reads as
+      // a failure.
       const auto count = [&](const char* key) {
         std::uint64_t n = 0;
         return doc->int_field(key, &n) ? n : 1;
       };
-      if (explore_) return count("violations") > 0 ? 1 : 0;
-      return count("fail") + count("error") > 0 ? 1 : 0;
+      return count("violations") + count("fail") + count("error") > 0 ? 1 : 0;
     } else if (f.type == FrameType::kBye) {
       break;
     }

@@ -719,24 +719,15 @@ std::vector<campaign::RunResult> run_fabric(
   Engine eng(listener, eopts);
 
   bool done = cells.empty();
-  std::vector<char> have(cells.size(), 0);
-  std::size_t next_ordered = 0;
   std::size_t results_seen = 0;
   if (!done) {
-    eng.set_batch(
+    eng.add_batch(
         &cells,
         [&](int slot, campaign::RunResult r) {
           const auto s = static_cast<std::size_t>(slot);
           results[s] = std::move(r);
-          have[s] = 1;
           ++results_seen;
           if (opts.on_result) opts.on_result(results[s]);
-          if (opts.on_result_ordered) {
-            while (next_ordered < have.size() && have[next_ordered] != 0) {
-              opts.on_result_ordered(results[next_ordered]);
-              ++next_ordered;
-            }
-          }
         },
         [&] { done = true; });
   }

@@ -152,18 +152,6 @@ class Engine {
                 std::function<void(int slot, campaign::RunResult)> on_cell,
                 std::function<void()> on_done, int max_workers = 0);
 
-  /// Single-batch compatibility shim over add_batch().
-  void set_batch(const std::vector<campaign::RunCell>* cells,
-                 std::function<void(int slot, campaign::RunResult)> on_cell,
-                 std::function<void()> on_done) {
-    add_batch(cells, std::move(on_cell), std::move(on_done));
-  }
-
-  [[nodiscard]] bool batch_active() const { return !batches_.empty(); }
-  [[nodiscard]] int active_batches() const {
-    return static_cast<int>(batches_.size());
-  }
-
   /// Drop every still-queued (never leased, not requeue-pending) slot of
   /// `job`: the slots are marked filled with no on_cell call, so the job
   /// completes with those results absent (index == -1 downstream). Cells
@@ -269,7 +257,8 @@ class Engine {
 
   std::map<int, Batch> batches_;             // job id -> dispatch state
   std::map<std::string, WorkerState> workers_;
-  /// worker id -> latest cumulative STATS snapshot (v3 workers only).
+  /// worker id -> latest cumulative STATS snapshot (workers that ship
+  /// STATS; `pfi_worker --no-stats` ones never appear).
   std::map<std::string, std::vector<obs::MetricSample>> worker_stats_;
   std::uint64_t stats_frames_ = 0;
   std::vector<int> rr_jobs_;                 // round-robin ring of job ids
@@ -309,8 +298,6 @@ struct FabricOptions {
   int flap_every = 0;
   /// Completion-order stream, same contract as ExecutorOptions::on_result.
   std::function<void(const campaign::RunResult&)> on_result;
-  /// Slot-order stream, same contract as ExecutorOptions::on_result_ordered.
-  std::function<void(const campaign::RunResult&)> on_result_ordered;
   std::function<bool()> should_stop;
   std::function<void(const std::string&)> on_log;
   /// Observability plane (all optional, all side-channel): control-plane

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -35,28 +34,22 @@ struct Bridge {
   std::mutex mu;
   std::condition_variable cv;
   const std::vector<campaign::RunCell>* batch = nullptr;  // posted, not taken
-  /// Parallel content keys (campaign jobs only): lets the event loop
-  /// stream each finished record to the client as a journal chunk.
-  const std::vector<std::string>* batch_keys = nullptr;
   bool batch_done = false;
   std::vector<campaign::RunResult> batch_results;
   std::vector<std::string> progress;  // job thread -> client, JSON lines
   bool stop = false;                  // daemon shutting down: drain
 
   std::vector<campaign::RunResult> run(
-      const std::vector<campaign::RunCell>& cells,
-      const std::vector<std::string>* keys = nullptr) {
+      const std::vector<campaign::RunCell>& cells) {
     std::unique_lock<std::mutex> lock(mu);
     if (stop || cells.empty()) {
       // Executor contract for "nothing ran": default results, index == -1.
       return std::vector<campaign::RunResult>(cells.size());
     }
     batch = &cells;
-    batch_keys = keys;
     batch_done = false;
     cv.wait(lock, [&] { return batch_done; });
     batch = nullptr;
-    batch_keys = nullptr;
     return std::move(batch_results);
   }
 
@@ -84,12 +77,10 @@ struct Job {
   /// fleet sections (the job thread has no engine).
   std::vector<campaign::RunResult> results;
   int cells_planned = 0;
-  bool wants_metrics = false;  // campaign jobs emit a metrics artifact
 
   // Event-loop-side dispatch state for the batch in flight.
   bool dispatching = false;
   int engine_job = -1;  // Engine batch id while dispatching
-  const std::vector<std::string>* keys = nullptr;  // journal chunk keys
   std::vector<campaign::RunResult> staged;
   int done_cells = 0, total_cells = 0;
   int pass = 0, fail = 0, error = 0;
@@ -122,61 +113,50 @@ std::string done_error_json(const std::string& job_id,
 }
 
 /// The campaign job body (runs on the job thread). One bridge.run() call
-/// executes the whole plan over the fabric; the report and metrics come
-/// from the writers pfi_campaign uses (campaign/report.hpp). Cells whose
+/// executes the plan's unanswered cells over the fabric. Cells whose
 /// content key appears in Submit.have are the client's resume set: they
 /// are never executed, never re-transferred, and counted as "resumed".
+/// The client builds the report from the records it holds plus the
+/// journal streamed here (Client::submit_campaign); the daemon adds the
+/// metrics document, whose fleet sections only the engine knows.
 void run_campaign_job(Job* job) {
-  const auto planned =
+  const auto cells =
       campaign::filter_cells(campaign::plan(job->spec), job->submit.filter);
-  const std::set<std::string> have(job->submit.have.begin(),
-                                   job->submit.have.end());
-  std::vector<campaign::RunCell> cells;
-  std::vector<std::string> keys;
-  int resumed = 0;
-  for (const auto& c : planned) {
-    std::string key = campaign::cell_key(c);
-    if (have.count(key) != 0) {
-      ++resumed;
-      continue;
-    }
-    cells.push_back(c);
-    keys.push_back(std::move(key));
-  }
+  // The client holds the records; which slots they answer is all the
+  // daemon needs, so its journal maps each held key to nothing.
+  std::map<std::string, std::string> held;
+  for (const std::string& key : job->submit.have) held.emplace(key, "");
+  const campaign::JournalSplit split = campaign::split_by_journal(cells, &held);
 
-  auto results = job->bridge.run(cells, &keys);
+  auto results = job->bridge.run(split.todo);
 
-  campaign::CampaignReport report;
-  report.records.resize(cells.size());
-  report.resumed = resumed;
-  campaign::splice_records(cells, results, &report.records);
+  std::vector<std::string> records(split.todo.size());
+  campaign::splice_records(split.todo, results, &records);
   std::map<std::string, std::string> journal;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!report.records[i].empty()) journal[keys[i]] = report.records[i];
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto slot = static_cast<std::size_t>(split.todo[i].index);
+    if (!records[i].empty()) journal[split.keys[slot]] = records[i];
   }
-  const campaign::RecordTally tally = campaign::tally_records(report.records);
+  const campaign::RecordTally tally = campaign::tally_records(records);
 
   campaign::json::Writer dw;
   dw.begin_object();
   dw.kv("job", job->id);
   dw.kv("status", tally.skipped > 0 ? "interrupted" : "ok");
-  dw.kv("cells", static_cast<int>(cells.size()));
+  dw.kv("cells", static_cast<int>(records.size()));
   dw.kv("pass", tally.pass);
   dw.kv("fail", tally.fail);
   dw.kv("error", tally.error);
   if (tally.skipped > 0) dw.kv("skipped", tally.skipped);
-  if (resumed > 0) dw.kv("resumed", resumed);
+  if (split.answered > 0) dw.kv("resumed", split.answered);
   dw.end_object();
 
   std::lock_guard<std::mutex> lock(job->bridge.mu);
-  job->artifacts.emplace_back(
-      "report", campaign::report_json(job->spec, report, tally) + "\n");
   job->artifacts.emplace_back("journal", campaign::journal_jsonl(journal));
   // The metrics artifact is assembled by the event loop (finish_job): its
   // fleet sections come from the Engine, which this thread must not touch.
   job->results = std::move(results);
   job->cells_planned = static_cast<int>(cells.size());
-  job->wants_metrics = true;
   job->done_json = dw.str();
   job->finished = true;
 }
@@ -425,20 +405,18 @@ class Service {
       Job* job = jp.get();
       std::vector<std::string> progress;
       const std::vector<campaign::RunCell>* batch = nullptr;
-      const std::vector<std::string>* keys = nullptr;
       {
         std::lock_guard<std::mutex> lock(job->bridge.mu);
         progress.swap(job->bridge.progress);
         if (job->bridge.batch != nullptr && !job->bridge.batch_done &&
             !job->dispatching) {
           batch = job->bridge.batch;
-          keys = job->bridge.batch_keys;
         }
       }
       for (const std::string& line : progress) {
         send_json(job->client_fd, FrameType::kProgress, line);
       }
-      if (batch != nullptr) dispatch(job, batch, keys);
+      if (batch != nullptr) dispatch(job, batch);
     }
 
     // Finish pass (separate loop: finishing erases from active_).
@@ -453,16 +431,14 @@ class Service {
     maybe_start();
   }
 
-  void dispatch(Job* job, const std::vector<campaign::RunCell>* batch,
-                const std::vector<std::string>* keys) {
+  void dispatch(Job* job, const std::vector<campaign::RunCell>* batch) {
     job->dispatching = true;
-    job->keys = keys;
     job->staged.assign(batch->size(), campaign::RunResult{});
     job->done_cells = 0;
     job->total_cells = static_cast<int>(batch->size());
     job->engine_job = engine_->add_batch(
         batch,
-        [this, job](int slot, campaign::RunResult r) {
+        [this, job, batch](int slot, campaign::RunResult r) {
           ++job->done_cells;
           if (r.errored()) {
             ++job->error;
@@ -478,8 +454,8 @@ class Service {
           // Stream the finished record to the client as one incremental
           // journal chunk, keyed by content hash: a client killed now
           // already holds this record and can resume past it.
-          if (job->keys != nullptr && job->client_fd >= 0) {
-            const std::string& key = (*job->keys)[s];
+          if (job->submit.explore == 0 && job->client_fd >= 0) {
+            const std::string key = campaign::cell_key((*batch)[s]);
             const std::string line = "{\"key\":\"" + key + "\",\"record\":" +
                                      campaign::record_json(job->staged[s]) +
                                      "}\n";
@@ -495,7 +471,6 @@ class Service {
           job->bridge.batch_done = true;
           job->dispatching = false;
           job->engine_job = -1;
-          job->keys = nullptr;
           job->bridge.cv.notify_all();
         },
         job->submit.max_workers);
@@ -504,7 +479,7 @@ class Service {
   void finish_job(std::size_t i) {
     Job* job = active_[i].get();
     job->thread.join();
-    if (job->wants_metrics) {
+    if (job->submit.explore == 0) {
       // The deterministic per-cell merge plus the side channel only the
       // engine knows: FabricStats and the fleet's worker registries.
       job->artifacts.emplace_back(
@@ -548,7 +523,6 @@ class Service {
           job->bridge.batch_done = true;
           job->dispatching = false;
           job->engine_job = -1;
-          job->keys = nullptr;
         }
         job->bridge.cv.notify_all();
         if (!job->finished) all_finished = false;

@@ -21,11 +21,12 @@
 // finished record streamed as one journal line keyed by its content hash —
 // so a client killed mid-run already holds every delivered record and can
 // resubmit with Submit.have to execute only the remainder. When a job
-// ends: final ARTIFACT frames (campaign: report + journal + metrics;
-// search: report + corpus) and one DONE frame with the summary. A client
-// that disconnects mid-job doesn't kill the job's in-flight cells, but its
-// still-queued cells are cancelled (nobody is listening) and queued
-// never-started jobs from that client are dropped.
+// ends: final ARTIFACT frames (campaign: journal + metrics, the client
+// building the report itself; search: report + corpus) and one DONE
+// frame with the summary. A client that disconnects mid-job doesn't kill
+// the job's in-flight cells, but its still-queued cells are cancelled
+// (nobody is listening) and queued never-started jobs from that client
+// are dropped.
 //
 // Any client may also send an empty STATUS frame at any time (wire v3) and
 // gets back one STATUS frame carrying a deterministic-schema JSON document:

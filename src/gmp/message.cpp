@@ -35,16 +35,20 @@ xk::Message GmpMessage::encode() const {
 bool GmpMessage::peek(const xk::Message& msg, std::size_t at,
                       GmpMessage& out) {
   if (msg.size() < at) return false;
+  // Publish only a whole message: a bad member count leaves `out` alone.
   xk::Reader r{msg.bytes().subspan(at)};
-  out.type = static_cast<MsgType>(r.u8());
-  out.sender = r.u32();
-  out.originator = r.u32();
-  out.subject = r.u32();
-  out.view_id = r.u64();
+  GmpMessage m;
+  m.type = static_cast<MsgType>(r.u8());
+  m.sender = r.u32();
+  m.originator = r.u32();
+  m.subject = r.u32();
+  m.view_id = r.u64();
   const std::uint16_t n = r.u16();
-  out.members.clear();
-  for (std::uint16_t i = 0; i < n; ++i) out.members.push_back(r.u32());
-  return !r.truncated();
+  if (r.truncated() || r.remaining() / 4 < n) return false;
+  m.members.resize(n);
+  for (net::NodeId& member : m.members) member = r.u32();
+  out = std::move(m);
+  return true;
 }
 
 bool GmpMessage::decode(const xk::Message& msg, GmpMessage& out) {

@@ -54,15 +54,19 @@ xk::Message TpcMessage::encode() const {
 bool TpcMessage::peek(const xk::Message& msg, std::size_t at,
                       TpcMessage& out) {
   if (msg.size() < at) return false;
+  // Publish only a whole message: a bad roster count leaves `out` alone.
   xk::Reader r{msg.bytes().subspan(at)};
-  out.type = static_cast<MsgType>(r.u8());
-  out.txid = r.u32();
-  out.sender = r.u32();
-  out.decision = static_cast<Decision>(r.u8());
+  TpcMessage m;
+  m.type = static_cast<MsgType>(r.u8());
+  m.txid = r.u32();
+  m.sender = r.u32();
+  m.decision = static_cast<Decision>(r.u8());
   const std::uint16_t n = r.u16();
-  out.participants.clear();
-  for (std::uint16_t i = 0; i < n; ++i) out.participants.push_back(r.u32());
-  return !r.truncated();
+  if (r.truncated() || r.remaining() / 4 < n) return false;
+  m.participants.resize(n);
+  for (net::NodeId& p : m.participants) p = r.u32();
+  out = std::move(m);
+  return true;
 }
 
 bool TpcMessage::decode(const xk::Message& msg, TpcMessage& out) {

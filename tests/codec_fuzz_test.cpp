@@ -9,6 +9,9 @@
 // Every target must survive every mutant without crashing or hanging (the
 // sanitizer CI job runs this too). The kv decoders must also be exact: an
 // accepted input re-encodes to bytes that decode back to the same value.
+// The in-simulation decoders (TCP header, GMP, reliable-layer and 2PC
+// messages, the recognition stubs) must decode all or nothing and
+// re-encode an accepted message to the bytes it was read from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +20,12 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "campaign/journal.hpp"
@@ -31,9 +37,21 @@
 #include "campaign/spec.hpp"
 #include "conformance/conformance.hpp"
 #include "fabric/wire.hpp"
+#include "gmp/message.hpp"
+#include "net/layers.hpp"
+#include "pfi/gmp_stub.hpp"
+#include "pfi/pfi_layer.hpp"
+#include "pfi/tcp_stub.hpp"
+#include "pfi/tpc_stub.hpp"
 #include "script/parse.hpp"
 #include "search/corpus.hpp"
 #include "search/prng.hpp"
+#include "sim/scheduler.hpp"
+#include "tcp/header.hpp"
+#include "tpc/tpc.hpp"
+#include "trace/trace.hpp"
+#include "xk/layer.hpp"
+#include "xk/message.hpp"
 
 namespace pfi {
 namespace {
@@ -510,6 +528,263 @@ TEST(CodecFuzz, JournalLinesLoadOnlyWholeRecords) {
   });
   load();
   std::remove(path.c_str());
+}
+
+// --- in-simulation decoders --------------------------------------------------
+//
+// Corrupt faults and msg_set_byte hand these decoders hostile bytes inside
+// a running simulation. A rejected message must leave the output exactly
+// as it was (no partial decode); an accepted one must re-encode to the
+// bytes it was read from.
+
+std::string bytes_of(const xk::Message& m) {
+  return {m.bytes().begin(), m.bytes().end()};
+}
+
+/// A segment as the TCP stub sees it: IpMeta, TCP header, payload.
+std::vector<std::string> tcp_corpus() {
+  std::vector<std::string> out;
+  const std::uint8_t flag_sets[] = {tcp::kSyn, tcp::kSyn | tcp::kAck,
+                                    tcp::kAck, tcp::kFin | tcp::kAck,
+                                    tcp::kRst};
+  std::uint32_t seq = 100;
+  for (const std::uint8_t flags : flag_sets) {
+    xk::Message m{std::string_view(flags == tcp::kAck ? "payload" : "")};
+    tcp::TcpHeader h;
+    h.src_port = 1025;
+    h.dst_port = 80;
+    h.seq = seq;
+    h.ack = 4294967295u - seq;
+    h.flags = flags;
+    h.window = 4096;
+    h.payload_len = static_cast<std::uint16_t>(m.size());
+    h.push_onto(m);
+    net::IpMeta{2, net::IpProto::kTcp}.push_onto(m);
+    out.push_back(bytes_of(m));
+    seq *= 7;
+  }
+  return out;
+}
+
+/// A GMP message as the GMP stub sees it: UdpMeta, RelHeader, GmpMessage.
+std::vector<std::string> gmp_corpus() {
+  std::vector<std::string> out;
+  const gmp::MsgType types[] = {gmp::MsgType::kHeartbeat,
+                                gmp::MsgType::kMembershipChange,
+                                gmp::MsgType::kCommit,
+                                gmp::MsgType::kDeathReport};
+  std::uint32_t seq = 1;
+  for (const gmp::MsgType type : types) {
+    gmp::GmpMessage g;
+    g.type = type;
+    g.sender = 2;
+    g.originator = 1;
+    g.subject = type == gmp::MsgType::kDeathReport ? 3 : 0;
+    g.view_id = 0x0102030405060708ull;
+    if (type != gmp::MsgType::kHeartbeat) g.members = {1, 2, 3};
+    xk::Message m = g.encode();
+    gmp::RelHeader rel;
+    rel.kind = seq % 2 == 0 ? gmp::RelKind::kData : gmp::RelKind::kRaw;
+    rel.seq = seq++;
+    rel.push_onto(m);
+    net::UdpMeta{2, 7000, 7000}.push_onto(m);
+    out.push_back(bytes_of(m));
+  }
+  xk::Message ack;
+  gmp::RelHeader{gmp::RelKind::kAck, 9}.push_onto(ack);
+  net::UdpMeta{1, 7000, 7000}.push_onto(ack);
+  out.push_back(bytes_of(ack));
+  return out;
+}
+
+/// A 2PC message as the TPC stub sees it: UdpMeta, TpcMessage.
+std::vector<std::string> tpc_corpus() {
+  std::vector<std::string> out;
+  const tpc::MsgType types[] = {tpc::MsgType::kVoteReq, tpc::MsgType::kVoteYes,
+                                tpc::MsgType::kDecision};
+  for (const tpc::MsgType type : types) {
+    tpc::TpcMessage t;
+    t.type = type;
+    t.txid = 77;
+    t.sender = 1;
+    t.decision = type == tpc::MsgType::kDecision ? tpc::Decision::kCommit
+                                                 : tpc::Decision::kNone;
+    if (type == tpc::MsgType::kVoteReq) t.participants = {2, 3, 4};
+    xk::Message m = t.encode();
+    net::UdpMeta{1, 9900, 9900}.push_onto(m);
+    out.push_back(bytes_of(m));
+  }
+  return out;
+}
+
+auto fields(const tcp::TcpHeader& h) {
+  return std::tie(h.src_port, h.dst_port, h.seq, h.ack, h.flags, h.window,
+                  h.payload_len);
+}
+
+auto fields(const gmp::GmpMessage& g) {
+  return std::tie(g.type, g.sender, g.originator, g.subject, g.view_id,
+                  g.members);
+}
+
+auto fields(const gmp::RelHeader& r) { return std::tie(r.kind, r.seq); }
+
+auto fields(const tpc::TpcMessage& t) {
+  return std::tie(t.type, t.txid, t.sender, t.decision, t.participants);
+}
+
+/// Decode `in` at each offset with `peek`. Rejection leaves the sentinel
+/// untouched; acceptance re-encodes (`encode`) to the bytes read.
+template <typename T, typename Peek, typename Encode>
+void check_peek(const std::string& in, int it,
+                std::initializer_list<std::size_t> offsets, const T& sentinel,
+                Peek peek, Encode encode) {
+  const xk::Message msg{std::string_view(in)};
+  for (const std::size_t at : offsets) {
+    T out = sentinel;
+    if (!peek(msg, at, out)) {
+      ASSERT_TRUE(fields(out) == fields(sentinel)) << it << " at " << at;
+      continue;
+    }
+    const std::string back = bytes_of(encode(out));
+    ASSERT_LE(at + back.size(), in.size()) << it << " at " << at;
+    ASSERT_EQ(back, in.substr(at, back.size())) << it << " at " << at;
+  }
+}
+
+TEST(CodecFuzz, TcpHeaderDecodesWholeHeadersExactly) {
+  tcp::TcpHeader sentinel;
+  sentinel.src_port = 0xdead;
+  sentinel.seq = 0xfeedface;
+  sentinel.flags = 0xff;
+  const auto encode = [](const tcp::TcpHeader& h) {
+    xk::Message m;
+    h.push_onto(m);
+    return m;
+  };
+  fuzz(10, tcp_corpus(), [&](const std::string& in, int it) {
+    check_peek(in, it, {0, net::IpMeta::kSize}, sentinel,
+               &tcp::TcpHeader::peek, encode);
+    // pop_from strips exactly the header it parsed, or nothing.
+    xk::Message msg{std::string_view(in)};
+    tcp::TcpHeader h;
+    const bool popped = tcp::TcpHeader::pop_from(msg, h);
+    ASSERT_EQ(bytes_of(msg),
+              popped ? in.substr(tcp::TcpHeader::kSize) : in) << it;
+  });
+}
+
+TEST(CodecFuzz, GmpAndRelHeadersDecodeAllOrNothing) {
+  constexpr std::size_t kRelAt = net::UdpMeta::kSize;
+  constexpr std::size_t kGmpAt = kRelAt + gmp::RelHeader::kSize;
+  gmp::GmpMessage sentinel;
+  sentinel.type = gmp::MsgType::kJoin;
+  sentinel.sender = 0xdeadbeef;
+  sentinel.members = {42};
+  gmp::RelHeader rel_sentinel;
+  rel_sentinel.kind = gmp::RelKind::kData;
+  rel_sentinel.seq = 0xfeedface;
+  fuzz(11, gmp_corpus(), [&](const std::string& in, int it) {
+    check_peek(in, it, {0, kGmpAt}, sentinel, &gmp::GmpMessage::peek,
+               [](const gmp::GmpMessage& g) { return g.encode(); });
+    check_peek(in, it, {0, kRelAt}, rel_sentinel, &gmp::RelHeader::peek,
+               [](const gmp::RelHeader& r) {
+                 xk::Message m;
+                 r.push_onto(m);
+                 return m;
+               });
+  });
+}
+
+TEST(CodecFuzz, TpcMessageDecodesAllOrNothing) {
+  tpc::TpcMessage sentinel;
+  sentinel.type = tpc::MsgType::kAck;
+  sentinel.txid = 0xdeadbeef;
+  sentinel.participants = {42};
+  fuzz(12, tpc_corpus(), [&](const std::string& in, int it) {
+    check_peek(in, it, {0, net::UdpMeta::kSize}, sentinel,
+               &tpc::TpcMessage::peek,
+               [](const tpc::TpcMessage& t) { return t.encode(); });
+  });
+}
+
+/// app / PFI / loopback: every message the app sends crosses the PFI send
+/// filter, which reports msg_type, msg_len and msg_hex as a trace note.
+struct StubHarness {
+  sim::Scheduler sched;
+  trace::TraceLog trace;
+  xk::Stack stack;
+  xk::AppLayer* app = nullptr;
+
+  struct Loopback : xk::Layer {
+    Loopback() : Layer("loop") {}
+    void push(xk::Message m) override { send_up(std::move(m)); }
+    void pop(xk::Message) override {}
+  };
+
+  explicit StubHarness(std::shared_ptr<core::PacketStub> stub) {
+    app = static_cast<xk::AppLayer*>(
+        stack.add(std::make_unique<xk::AppLayer>()));
+    core::PfiConfig cfg;
+    cfg.trace = &trace;
+    cfg.stub = std::move(stub);
+    auto* pfi = static_cast<core::PfiLayer*>(
+        stack.add(std::make_unique<core::PfiLayer>(sched, cfg)));
+    pfi->set_send_script(
+        "trace_note [msg_type cur_msg] [msg_len cur_msg] [msg_hex cur_msg]");
+    stack.add(std::make_unique<Loopback>());
+  }
+
+  /// The send filter's note for `msg`.
+  std::string note(const xk::Message& msg) {
+    trace.clear();
+    app->send(msg);
+    sched.run();
+    return trace.size() == 1 ? trace.records().front().detail : "";
+  }
+};
+
+std::string hex_of(const std::string& bytes) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<std::uint8_t>(c);
+    out += kHex[b >> 4];
+    out += kHex[b & 0xF];
+  }
+  return out;
+}
+
+TEST(CodecFuzz, StubsRecognizeAnyMessage) {
+  const char* const names[] = {
+      "remote",  "proto",      "remote_port", "local_port", "src_port",
+      "dst_port", "seq",       "ack",         "flags",      "window",
+      "len",     "syn",        "fin",         "rst",        "ack_flag",
+      "rel_kind", "rel_seq",   "type",        "sender",     "originator",
+      "subject", "view_id",    "member_count", "txid",      "decision",
+      "participant_count",     "id",          "bogus"};
+  const std::pair<std::shared_ptr<core::PacketStub>, std::vector<std::string>>
+      stubs[] = {{std::make_shared<core::TcpStub>(), tcp_corpus()},
+                 {std::make_shared<core::GmpStub>(), gmp_corpus()},
+                 {std::make_shared<core::TpcStub>(), tpc_corpus()},
+                 {std::make_shared<core::ToyStub>(),
+                  {bytes_of(core::ToyStub::make(core::ToyStub::kData, 7,
+                                                "payload")),
+                   bytes_of(core::ToyStub::make(core::ToyStub::kGack, 9))}}};
+  std::uint64_t salt = 13;
+  for (const auto& [stub, corpus] : stubs) {
+    StubHarness h(stub);
+    fuzz(salt++, corpus, [&](const std::string& in, int it) {
+      const xk::Message msg{std::string_view(in)};
+      const std::string type = stub->type_of(msg);
+      ASSERT_FALSE(type.empty()) << it;
+      ASSERT_FALSE(stub->summary(msg).empty()) << it;
+      for (const char* name : names) (void)stub->field(msg, name);
+      ASSERT_EQ(h.note(msg),
+                type + " " + std::to_string(in.size()) + " " + hex_of(in))
+          << it;
+    });
+  }
 }
 
 // --- source-text targets -----------------------------------------------------

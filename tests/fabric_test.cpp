@@ -2,10 +2,10 @@
 // fidelity, corruption/version/auth rejection), coordinator/worker
 // distribution (byte-identical records at any worker count, link flaps
 // included), lease requeueing when a worker dies mid-lease, reconnect and
-// result re-send dedupe, journal merging, the executor's slot-ordered
-// streaming callback, and the campaign-as-a-service daemon end to end —
-// including two jobs running concurrently over one worker pool and the
-// live journal chunk stream.
+// result re-send dedupe, journal merging, and the campaign-as-a-service
+// daemon end to end — including the client-built report over a resumed
+// job, two jobs running concurrently over one worker pool and the live
+// journal chunk stream.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -371,21 +371,12 @@ TEST(Fabric, MatchesInProcessRecordsAtAnyWorkerCount) {
 
   FabricOptions fopts;
   fopts.no_worker_timeout_ms = 30000;
-  std::vector<int> ordered_indices;
-  fopts.on_result_ordered = [&](const RunResult& r) {
-    ordered_indices.push_back(r.index);
-  };
   FabricStats stats;
   const auto results = run_fabric(&listener, cells, fopts, &stats);
   reap_local_workers(&pool);
 
   EXPECT_EQ(record_strings(results), baseline);
   EXPECT_GE(stats.workers_joined, 1);
-  // The ordered stream saw every slot, in slot order.
-  ASSERT_EQ(ordered_indices.size(), cells.size());
-  for (std::size_t i = 0; i < ordered_indices.size(); ++i) {
-    EXPECT_EQ(ordered_indices[i], static_cast<int>(i));
-  }
 }
 
 TEST(Fabric, DeadWorkerLeasesRequeueToSurvivors) {
@@ -406,7 +397,7 @@ TEST(Fabric, DeadWorkerLeasesRequeueToSurvivors) {
   Engine engine(&listener, eopts);
   std::vector<RunResult> results(cells.size());
   bool done = false;
-  engine.set_batch(
+  engine.add_batch(
       &cells,
       [&](int slot, RunResult r) {
         results[static_cast<std::size_t>(slot)] = std::move(r);
@@ -761,26 +752,6 @@ TEST(FabricJournal, MergeDedupesSortsAndIgnoresInputOrder) {
   std::remove(b.c_str());
 }
 
-// --- executor ordered streaming --------------------------------------------
-
-TEST(Executor, OrderedCallbackStreamsSlotOrderUnderParallelism) {
-  const auto cells = campaign::plan(small_gmp_spec());
-  campaign::ExecutorOptions opts;
-  opts.jobs = 4;
-  std::vector<int> completion, ordered;
-  opts.on_result = [&](const RunResult& r) { completion.push_back(r.index); };
-  opts.on_result_ordered = [&](const RunResult& r) {
-    ordered.push_back(r.index);
-  };
-  const auto results = campaign::run_cells(cells, opts);
-  ASSERT_EQ(results.size(), cells.size());
-  EXPECT_EQ(completion.size(), cells.size());
-  ASSERT_EQ(ordered.size(), cells.size());
-  for (std::size_t i = 0; i < ordered.size(); ++i) {
-    EXPECT_EQ(ordered[i], static_cast<int>(i));
-  }
-}
-
 // --- the daemon ------------------------------------------------------------
 
 TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
@@ -821,15 +792,15 @@ TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
       << err;
   Submit submit;
   submit.spec_text = spec_text;
-  ASSERT_TRUE(client.submit(submit, &err)) << err;
   int progress_frames = 0;
-  std::string report, journal, done, streamed;
+  std::string journal, done, streamed;
+  bool report_artifact = false;
   int journal_chunks = 0;
   SubmitHandlers h;
   h.on_progress = [&](const std::string&) { ++progress_frames; };
   h.on_artifact = [&](const std::string& name, const std::string& content,
                       const std::string& chunk) {
-    if (name == "report") report = content;
+    report_artifact |= name == "report";
     if (name != "journal") return;
     if (chunk.empty()) {
       journal = content;  // the complete final document
@@ -839,27 +810,49 @@ TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
     }
   };
   h.on_done = [&](const std::string& json) { done = json; };
-  const int rc = client.wait(h, &err);
+  std::map<std::string, std::string> held;
+  campaign::CampaignReport report;
+  const int rc = client.submit_campaign(submit, cells, &held, h, &report, &err);
+
+  // Resubmitted over the journal it now holds, the job executes nothing
+  // and the client still reports every cell, as a local --resume does.
+  std::string resumed_done;
+  SubmitHandlers again;
+  again.on_done = [&](const std::string& json) { resumed_done = json; };
+  campaign::CampaignReport resumed;
+  const int resumed_rc =
+      client.submit_campaign(submit, cells, &held, again, &resumed, &err);
   stop.store(true);
   daemon.join();
   reap_local_workers(&pool);
 
   EXPECT_GE(progress_frames, static_cast<int>(cells.size()));
   EXPECT_NE(done.find("\"status\":\"ok\""), std::string::npos) << done;
-  // The daemon's report is the shared writer's document for the in-process
+  // Campaign reports are the client's to build; the daemon sends none.
+  EXPECT_FALSE(report_artifact);
+  // The client's report is the shared writer's document for the in-process
   // baseline, byte for byte: a local run differs only in the host fields.
   campaign::CampaignReport local;
   local.records.resize(cells.size());
   campaign::splice_records(cells, baseline, &local.records);
   const campaign::RecordTally tally = campaign::tally_records(local.records);
-  EXPECT_EQ(report, campaign::report_json(*spec, local, tally) + "\n");
+  const std::string local_json = campaign::report_json(*spec, local, tally);
+  const std::string report_text = campaign::report_json(
+      *spec, report, campaign::tally_records(report.records));
+  EXPECT_EQ(report_text, local_json);
   EXPECT_EQ(rc, tally.fail + tally.error > 0 ? 1 : 0) << err;
   // The layout docs/CAMPAIGN.md pins: failing_ids inside the summary.
-  const auto doc = campaign::json::parse(report);
+  const auto doc = campaign::json::parse(report_text);
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("failing_ids"), nullptr);
   ASSERT_NE(doc->find("summary"), nullptr);
   EXPECT_NE(doc->find("summary")->find("failing_ids"), nullptr);
+  // The resumed report holds the same records, all of them resumed.
+  EXPECT_NE(resumed_done.find("\"cells\":0"), std::string::npos)
+      << resumed_done;
+  EXPECT_EQ(resumed.records, local.records);
+  EXPECT_EQ(resumed.resumed, static_cast<int>(cells.size()));
+  EXPECT_EQ(resumed_rc, rc);
   // The journal artifact is the sorted normal form keyed by content hash.
   ASSERT_FALSE(journal.empty());
   std::size_t lines = 0;
@@ -876,7 +869,8 @@ TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
   }
   EXPECT_EQ(campaign::journal_jsonl(campaign::load_journal(tmp)), journal);
   std::remove(tmp.c_str());
-  EXPECT_EQ(stats.jobs_completed, 1);
+  EXPECT_EQ(campaign::journal_jsonl(held), journal);
+  EXPECT_EQ(stats.jobs_completed, 2);
 }
 
 TEST(FabricService, RunsTwoJobsConcurrentlyOverOnePool) {
@@ -1061,7 +1055,7 @@ TEST(Fabric, OneVersionAndUnknownFramesDegradeGracefully) {
   Engine engine(&listener, eopts);
   std::vector<RunResult> results(cells.size());
   bool done = false;
-  engine.set_batch(
+  engine.add_batch(
       &cells,
       [&](int slot, RunResult r) {
         results[static_cast<std::size_t>(slot)] = std::move(r);
