@@ -8,7 +8,8 @@
 //   $ ./pfi_campaign spec.file --submit unix:/tmp/fabricd.sock
 //
 // Reads a campaign spec (docs/CAMPAIGN.md), expands the run matrix, executes
-// every cell on a worker pool (or over the fabric, docs/FABRIC.md), and
+// every cell on a worker pool (or over the fabric, or on a pfi_fabricd
+// daemon with --submit: docs/FABRIC.md), and
 // writes one JSON document: per-run records (byte-identical whatever --jobs
 // was), a summary, and — with --minimize — a 1-minimal reproduction
 // schedule for each failing cell. --explore swaps the matrix for the
@@ -24,15 +25,13 @@
 // journal doesn't already hold.
 //
 // Exit status: 0 all pass, 1 any fail/error (search: any violation), 2
-// usage/spec/no-match, 130 interrupted.
+// usage/spec/no-match or a --submit daemon lost, 130 interrupted.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -98,7 +97,7 @@ struct Args {
   int dead_after_ms = 5000;      // coordinator's worker-silence threshold
   int reconnect_grace_ms = -1;   // detached-worker grace; -1 = dead-after-ms
   int max_workers = 0;      // --submit: per-job distinct-worker quota
-  std::string submit;       // daemon address: run the spec as a fabric job
+  std::string submit;       // daemon address: execute the cells there
   bool merge_journals = false;  // positional args are journal files to merge
   bool workers_kill_one = false;  // test hook: SIGKILL one worker mid-run
   int workers_flap = 0;     // test hook: sever a worker link every N results
@@ -109,10 +108,14 @@ struct Args {
   bool quiet = false;
 };
 
-/// The search parameters only a local --explore run reads: SUBMIT carries
-/// the budget alone.
-constexpr const char* kExploreOnly[] = {"--batch", "--seed", "--no-prune",
-                                        "--emit-scripts"};
+/// Flags that shape how this host executes cells. Under --submit the
+/// daemon's workers execute them with their own settings, so each of these
+/// is refused there rather than silently dropped.
+constexpr const char* kLocalExecution[] = {
+    "--jobs",          "--isolate",          "--retries",
+    "--workers",       "--listen",           "--heartbeat-ms",
+    "--dead-after-ms", "--reconnect-grace-ms",
+    "--workers-flap",  "--workers-kill-one", "--flight-out"};
 
 pfi::campaign::flags::Parser make_parser(Args* a) {
   namespace f = pfi::campaign::flags;
@@ -182,7 +185,7 @@ pfi::campaign::flags::Parser make_parser(Args* a) {
                 &a->dead_after_ms),
       f::number("--reconnect-grace-ms", "N", "detached-worker grace",
                 &a->reconnect_grace_ms),
-      f::text("--submit", "ADDR", "run the spec on a pfi_fabricd daemon",
+      f::text("--submit", "ADDR", "execute cells on a pfi_fabricd daemon",
               &a->submit),
       f::number("--max-workers", "N", "(--submit) distinct-worker quota",
                 &a->max_workers),
@@ -237,102 +240,23 @@ int run_merge(const Args& a, const std::vector<std::string>& journals) {
   return conflicts > 0 ? 1 : 0;
 }
 
-/// Client mode: the daemon parses, plans and executes; we stream its
-/// progress and write what comes back where the local flags would have
-/// put it. A campaign's report is built here from the records we hold,
-/// journaled and fresh, the way a local --resume run builds it.
-int run_submit(const Args& a, const CampaignSpec& spec) {
-  // The daemon plans the spec text with the same budgets and filter.
-  const auto cells = filter_cells(plan(spec), a.filter);
-  if (a.explore == 0 && cells.empty()) {
-    print_error("no cells match");
-    return 2;
-  }
-  std::ifstream in(a.spec_path);
-  std::ostringstream text;
-  text << in.rdbuf();
-
-  pfi::fabric::Client client;
+/// --submit: connect to the daemon that will execute this run's cells.
+bool connect_submit(const Args& a, const CampaignSpec& spec,
+                    pfi::fabric::Client* client) {
   std::string err;
-  if (!client.connect(a.submit, a.token,
-                      "pfi_campaign-" + std::to_string(getpid()), &err)) {
+  if (!client->connect(a.submit, a.token,
+                       "pfi_campaign-" + std::to_string(getpid()), &err)) {
     print_error(err);
-    return 2;
+    return false;
   }
-  const bool journaling = a.resume || !a.journal.empty();
-  const std::string journal_path = journal_path_for(a);
-  pfi::fabric::Submit s;
-  s.spec_text = text.str();
-  s.filter = a.filter;
-  s.timeout_ms = a.timeout_ms;
-  s.max_events = a.max_events;
-  s.retries = a.retries;
-  s.explore = a.explore;
-  s.max_workers = a.max_workers;
-
-  // Live journal stream: each chunk is one record line, so a client killed
-  // mid-run already holds every record that reached it and the next
-  // --resume submit skips those cells. The first write truncates a fresh
-  // run's journal (--resume appends to the prior one); the final artifact
-  // re-sends this job's records, so lost chunks still end complete.
-  bool journal_started = false;
-  bool write_failed = false;
-  pfi::fabric::SubmitHandlers h;
-  h.on_artifact = [&](const std::string& name, const std::string& bytes,
-                      const std::string&) {
-    std::string path;
-    bool append = false;
-    if (name == "report") {
-      path = a.out.empty() ? "-" : a.out;
-    } else if (name == "journal" && journaling) {
-      path = journal_path;
-      append = a.resume || journal_started;
-      journal_started = true;
-    } else if (name == "metrics") {
-      path = a.metrics_out;
-    } else if (name == "corpus") {
-      path = a.corpus_out;
-    }
-    if (!path.empty() && !write_file_or_stdout(path, bytes, append)) {
-      write_failed = true;
-    }
-  };
-  if (!a.quiet) {
-    h.on_progress = [](const std::string& json) {
-      std::fprintf(stderr, "  %s\n", json.c_str());
-    };
-    h.on_done = [](const std::string& json) {
-      std::fprintf(stderr, "%s\n", json.c_str());
-    };
-  }
-  int rc = 2;
-  if (a.explore > 0) {
-    if (client.submit(s, &err)) rc = client.wait(h, &err);
-  } else {
-    std::map<std::string, std::string> journal;
-    if (a.resume) journal = load_journal(journal_path);
-    CampaignReport report;
-    rc = client.submit_campaign(s, cells, &journal, h, &report, &err);
-    if (rc != 2 &&
-        !write_file_or_stdout(
-            a.out, report_json(spec, report, tally_records(report.records)) +
-                       "\n")) {
-      write_failed = true;
-    }
-  }
-  if (!err.empty()) print_error(err);
-  if (journal_started) {
-    // The file now holds overlapping sets (prior records on --resume,
-    // streamed chunks, the final artifact). Rewrite as the sorted, deduped
-    // normal form every other journal consumer emits.
-    write_file_or_stdout(journal_path,
-                         journal_jsonl(load_journal(journal_path)));
-  }
-  return write_failed ? 2 : rc;
+  client->set_job(spec.name, a.max_workers);
+  return true;
 }
 
 /// Coverage-guided mode: the budget buys mutated schedules chasing unseen
-/// coverage digests instead of the planner's fixed matrix.
+/// coverage digests instead of the planner's fixed matrix. Under --submit
+/// each generation's batch executes on the daemon; everything else stays
+/// here.
 int run_explore(const Args& a, const CampaignSpec& spec, int retries) {
   pfi::search::SearchOptions o;
   o.budget = a.explore;
@@ -350,7 +274,16 @@ int run_explore(const Args& a, const CampaignSpec& spec, int retries) {
       std::fprintf(stderr, "  %s\n", line.c_str());
     };
   }
-  o.should_stop = [] { return g_interrupted != 0; };
+  pfi::fabric::Client client;
+  std::string submit_err;
+  if (!a.submit.empty()) {
+    if (!connect_submit(a, spec, &client)) return 2;
+    o.run_batch = [&](const std::vector<RunCell>& cells,
+                      const ExecutorOptions& eo) {
+      return client.run_cells(cells, eo, &submit_err);
+    };
+  }
+  o.should_stop = [&] { return g_interrupted != 0 || !submit_err.empty(); };
   std::signal(SIGINT, handle_sigint);
   const auto t0 = std::chrono::steady_clock::now();
   const pfi::search::SearchResult res = pfi::search::explore(spec, o);
@@ -387,6 +320,10 @@ int run_explore(const Args& a, const CampaignSpec& spec, int retries) {
                  res.duplicates, res.lint_skipped, res.corpus.size(),
                  res.violations.size(), wall_ms);
   }
+  if (!submit_err.empty()) {
+    print_error(submit_err);
+    return 2;
+  }
   if (res.interrupted) return 130;
   return res.violations.empty() ? 0 : 1;
 }
@@ -413,8 +350,9 @@ std::string equiv_group_key(const RunCell& cell) {
   return cell_key(canon);
 }
 
-/// The static matrix: plan, lint, journal, execute (in process or over the
-/// fabric), then write the report and the side-channel documents.
+/// The static matrix: plan, lint, journal, execute (in process, over the
+/// fabric or on a daemon), then write the report and the side-channel
+/// documents.
 int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
   std::string err;
   std::vector<RunCell> planned;
@@ -508,6 +446,8 @@ int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
                           : "");
   }
 
+  pfi::fabric::Client client;
+  if (!a.submit.empty() && !connect_submit(a, spec, &client)) return 2;
   Journal journal;
   if (journaling && !todo.empty() && !journal.open(journal_path)) {
     print_error("cannot append to journal " + journal_path);
@@ -593,8 +533,8 @@ int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
     };
   }
 
-  // ---- execution: in-process pool, or the distributed fabric --------------
-  // Either way `results` comes back slot-ordered, so everything downstream
+  // ---- execution: in-process pool, the distributed fabric, or a daemon -----
+  // Every way `results` comes back slot-ordered, so everything downstream
   // (records, journal, metrics, summary) is byte-identical.
   pfi::fabric::Listener listener;
   pfi::fabric::LocalWorkerPool pool;
@@ -629,6 +569,7 @@ int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
   std::signal(SIGINT, handle_sigint);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<RunResult> results;
+  std::string submit_err;  // --submit: why the daemon job ended early
   // Fleet observability state (side channel only — feeds --flight-out,
   // --metrics-out's fabric/fleet sections and the --timeline flight lane,
   // never the report or journal).
@@ -688,6 +629,8 @@ int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
                      fstats.unknown_frames);
       }
     }
+  } else if (!a.submit.empty()) {
+    results = client.run_cells(todo, opts, &submit_err);
   } else {
     results = run_cells(todo, opts);
   }
@@ -695,7 +638,8 @@ int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
                        std::chrono::steady_clock::now() - t0)
                        .count();
   std::signal(SIGINT, SIG_DFL);
-  report.interrupted = g_interrupted != 0;
+  report.interrupted = g_interrupted != 0 || !submit_err.empty();
+  if (!submit_err.empty()) print_error(submit_err);
   if (!a.quiet && tty && done != static_cast<int>(todo.size())) {
     std::fputc('\n', stderr);  // leave the partial progress line intact
   }
@@ -710,6 +654,8 @@ int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
         pfi::fabric::write_fleet_sections(w, fstats, worker_stats,
                                           &fabric_obs);
       };
+    } else if (!a.submit.empty()) {
+      fleet = [&](pfi::campaign::json::Writer* w) { client.fleet_sections(w); };
     }
     if (!write_file_or_stdout(
             a.metrics_out,
@@ -800,6 +746,7 @@ int run_matrix(const Args& a, const CampaignSpec& spec, int retries) {
                      : "",
                  report.wall_ms);
   }
+  if (!submit_err.empty()) return 2;
   if (report.interrupted) return 130;
   return tally.fail + tally.error > 0 ? 1 : 0;
 }
@@ -827,21 +774,25 @@ int main(int argc, char** argv) {
   if (a.spec_path.empty() && a.suite.empty()) {
     return parser.fail("needs a spec file or --suite DIR (see --help)");
   }
-  if (!a.suite.empty() &&
-      (!a.spec_path.empty() || !a.submit.empty() || a.explore > 0)) {
+  if (!a.suite.empty() && (!a.spec_path.empty() || a.explore > 0)) {
     return parser.fail(
-        "--suite replaces the spec and runs locally; it combines with "
-        "neither a spec file, --submit nor --explore");
+        "--suite replaces the spec; it combines with neither a spec file "
+        "nor --explore");
   }
-  for (const char* flag : kExploreOnly) {
-    if (!parser.given(flag)) continue;
-    if (!a.submit.empty()) {
-      return parser.fail(std::string(flag) +
-                         " does not travel with --submit (SUBMIT carries "
-                         "the budget only); run the search locally");
-    }
-    if (a.explore <= 0) {
+  for (const char* flag : {"--batch", "--seed", "--no-prune",
+                           "--emit-scripts"}) {
+    if (parser.given(flag) && a.explore <= 0) {
       return parser.fail(std::string(flag) + " applies only to --explore");
+    }
+  }
+  if (a.submit.empty() && parser.given("--max-workers")) {
+    return parser.fail("--max-workers applies only to --submit");
+  }
+  for (const char* flag : kLocalExecution) {
+    if (!a.submit.empty() && parser.given(flag)) {
+      return parser.fail(std::string(flag) +
+                         " does not travel with --submit: the daemon's "
+                         "workers execute the cells with their own settings");
     }
   }
   std::string err;
@@ -855,13 +806,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // CLI overrides win over the spec's own resilience knobs (the daemon
-  // applies SUBMIT's copies the same way before it plans).
+  // CLI overrides win over the spec's own resilience knobs; the planned
+  // cells carry them, to a daemon too.
   if (a.timeout_ms >= 0) spec->timeout_ms = a.timeout_ms;
   if (a.max_events >= 0) {
     spec->max_sim_events = static_cast<std::uint64_t>(a.max_events);
   }
-  if (!a.submit.empty()) return run_submit(a, *spec);
   if ((a.workers > 0 || !a.listen.empty()) && a.explore > 0) {
     return parser.fail(
         "--workers applies to the static matrix; distribute --explore "

@@ -5,14 +5,14 @@
 //
 // One socket, two populations: workers (pfi_worker, or --workers N
 // auto-spawned local ones) join the lease pool; clients
-// (`pfi_campaign spec --submit ADDR`) submit campaign or search specs as
+// (`pfi_campaign spec --submit ADDR`) submit the cells they planned as
 // jobs. Up to --max-active jobs run concurrently over the shared pool
 // (leases round-robin across them, per-job --max-workers quotas honoured);
-// more queue FIFO. Each client streams PROGRESS lines and live journal
-// chunks while its job runs and receives the final artifacts (report,
-// journal, metrics / corpus) when it finishes. --token gates every HELLO;
-// --allow restricts TCP peers. SIGINT/SIGTERM drains the active jobs and
-// BYEs every connection.
+// more queue FIFO. The daemon only executes: each finished cell's result
+// streams back to its client, then a DONE with the fleet's metrics
+// sections, and the client journals, minimises and reports as a local run
+// would. --token gates every HELLO; --allow restricts TCP peers.
+// SIGINT/SIGTERM BYEs every connection.
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -53,21 +53,21 @@ int main(int argc, char** argv) {
       f::number("--retries", "N", "local workers' retry policy",
                 &wopts.retries),
       f::number("--lease-batch", "N", "max cells per lease grant (8)",
-                &sopts.lease_batch),
+                &sopts.engine.lease_batch),
       f::number("--dead-after-ms", "N", "worker silence threshold (5000)",
-                &sopts.dead_after_ms),
+                &sopts.engine.dead_after_ms),
       f::number("--reconnect-grace-ms", "N", "detached-worker grace",
-                &sopts.reconnect_grace_ms),
+                &sopts.engine.reconnect_grace_ms),
       f::custom("--heartbeat-ms", "N", "beat interval, both directions (500)",
                 "an integer", [&](std::string_view v) {
                   namespace kv = pfi::campaign::kv;
                   return kv::to_int(v, &wopts.heartbeat_ms) &&
-                         kv::to_int(v, &sopts.heartbeat_ms);
+                         kv::to_int(v, &sopts.engine.heartbeat_ms);
                 }),
       f::text("--token", "SECRET", "shared secret every HELLO must carry",
-              &sopts.token, "PFI_FABRIC_TOKEN"),
+              &sopts.engine.token, "PFI_FABRIC_TOKEN"),
       f::repeated("--allow", "ADDR", "allowlist a TCP peer (repeatable)",
-                  &sopts.allow),
+                  &sopts.engine.allow),
       f::number("--max-active", "N", "jobs running concurrently (4)",
                 &sopts.max_active),
       f::text("--flight-out", "FILE", "flight recorder JSONL at shutdown",
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     return parser.fail("unexpected argument " + parser.positionals()[0]);
   }
   if (listen.empty()) return parser.fail("needs --listen ADDR");
-  wopts.token = sopts.token;  // the local fleet authenticates like anyone
+  wopts.token = sopts.engine.token;  // local workers authenticate too
 
   std::string err;
   pfi::fabric::Listener listener;
@@ -88,15 +88,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!quiet) {
-    sopts.on_log = [](const std::string& msg) {
+    sopts.engine.on_log = [](const std::string& msg) {
       std::fprintf(stderr, "pfi_fabricd: %s\n", msg.c_str());
     };
     std::fprintf(stderr, "pfi_fabricd: listening on %s\n",
                  listener.address().c_str());
   }
 
-  // Spawn local workers *before* the service starts any threads: the
-  // children come from fork() and must not inherit a multithreaded parent.
+  // Local workers are forked children that dial the listener; the service
+  // loop below accepts them like any other worker.
   pfi::fabric::LocalWorkerPool pool;
   if (workers > 0) {
     wopts.connect = listener.address();
@@ -111,11 +111,11 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, handle_stop);
   sopts.should_stop = [] { return g_stop != 0; };
   // Observability plane: flight events and coordinator stage timings feed
-  // the STATUS API and every campaign job's fleet metrics artifact.
+  // the STATUS API and every job's DONE fleet sections.
   pfi::fabric::FlightRecorder flight;
   pfi::obs::Registry obs;
-  sopts.flight = &flight;
-  sopts.obs = &obs;
+  sopts.engine.flight = &flight;
+  sopts.engine.obs = &obs;
   pfi::fabric::ServiceStats stats;
   const int rc = pfi::fabric::run_service(&listener, sopts, &stats);
   pfi::fabric::reap_local_workers(&pool);

@@ -10,7 +10,7 @@
 // whitespace the caller didn't ask for.
 //
 // The reader (parse) is how journals, corpus JSONL, cached records and
-// daemon summaries are read back. It covers the grammar the writer emits —
+// daemon DONE documents are read back. It covers the grammar the writer emits —
 // objects, arrays, strings with \"\\/bfnrt and \u00XX escapes, numbers,
 // true/false/null — and nothing more: anything else fails with nullopt.
 // Number tokens keep their text and integers are read through the strict

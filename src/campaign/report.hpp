@@ -1,9 +1,8 @@
 // The campaign report and metrics documents, written once for every
-// producer: `pfi_campaign` running locally or as a `pfi_fabricd` client
-// (the daemon adds only the metrics document) builds them through the
-// same functions, so the two differ only in the host fields a local run
-// adds (summary.jobs and summary.wall_ms). docs/CAMPAIGN.md pins both
-// layouts.
+// producer: `pfi_campaign` builds them through the same functions whether
+// its cells ran in process, over the fabric or on a `pfi_fabricd` daemon,
+// so the runs differ only in the host fields (summary.jobs and
+// summary.wall_ms). docs/CAMPAIGN.md pins both layouts.
 #pragma once
 
 #include <functional>
@@ -25,9 +24,9 @@ namespace pfi::campaign {
 bool write_file_or_stdout(const std::string& path, const std::string& bytes,
                           bool append = false);
 
-/// Which planned slots a journal already answers. Every front end resumes
-/// through split_by_journal (a local run, the daemon over SUBMIT.have, the
-/// --submit client), so their reports agree slot for slot.
+/// Which planned slots a journal already answers. Every run resumes
+/// through split_by_journal, whatever executes its cells, so the reports
+/// agree slot for slot.
 struct JournalSplit {
   std::vector<std::string> keys;     // cells[i]'s cell_key; none w/o journal
   std::vector<std::string> records;  // journaled, index = slot; "" = to run

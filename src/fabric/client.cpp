@@ -4,14 +4,15 @@
 
 #include <unistd.h>
 
-#include "campaign/journal.hpp"
-#include "campaign/json.hpp"
 #include "fabric/socket.hpp"
 
 namespace pfi::fabric {
 
-Client::~Client() {
+Client::~Client() { hang_up(); }
+
+void Client::hang_up() {
   if (fd_ >= 0) close(fd_);
+  fd_ = -1;
 }
 
 bool Client::send(const std::string& frame_bytes) {
@@ -56,90 +57,86 @@ bool Client::status(std::string* json, std::string* err) {
   return false;
 }
 
-bool Client::submit(const Submit& s, std::string* err) {
+void Client::set_job(const std::string& name, int max_workers) {
+  job_name_ = name;
+  max_workers_ = max_workers;
+}
+
+std::vector<campaign::RunResult> Client::run_cells(
+    const std::vector<campaign::RunCell>& cells,
+    const campaign::ExecutorOptions& opts, std::string* err) {
+  std::vector<campaign::RunResult> results(cells.size());
+  const auto stopped = [&] { return opts.should_stop && opts.should_stop(); };
+  if (fd_ < 0) {
+    *err = "not connected to a daemon";
+    return results;
+  }
+  if (stopped()) return results;
+  Submit s;
+  s.name = job_name_;
+  s.max_workers = max_workers_;
+  s.cells = cells;
   if (!send(encode_frame(FrameType::kSubmit, encode_submit(s)))) {
     *err = "submit failed";
-    return false;
+    hang_up();
+    return results;
   }
-  return true;
-}
-
-int Client::submit_campaign(Submit s,
-                            const std::vector<campaign::RunCell>& cells,
-                            std::map<std::string, std::string>* journal,
-                            const SubmitHandlers& h,
-                            campaign::CampaignReport* report,
-                            std::string* err) {
-  const campaign::JournalSplit held = campaign::split_by_journal(cells, journal);
-  s.have.clear();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!held.records[i].empty()) s.have.push_back(held.keys[i]);
-  }
-  if (!submit(s, err)) return 2;
-  std::map<std::string, std::string> fresh;  // this job's records, by key
-  SubmitHandlers absorb = h;
-  absorb.on_artifact = [&](const std::string& name, const std::string& bytes,
-                           const std::string& chunk) {
-    if (name == "journal") campaign::parse_journal(bytes, &fresh);
-    if (h.on_artifact) h.on_artifact(name, bytes, chunk);
-  };
-  const int rc = wait(absorb, err);
-  // Journaled records fill their slots by content key, this job's by the
-  // plan index they carry, as a local run splices its results: a script
-  // cell's key hashes the file as each host reads it, so the daemon's key
-  // need not be ours.
-  report->records = held.records;
-  for (const auto& [key, record] : fresh) {
-    (*journal)[key] = record;
-    const auto doc = campaign::json::parse(record);
-    const campaign::json::Value* index = doc ? doc->find("index") : nullptr;
-    std::size_t slot = 0;
-    if (index != nullptr && index->to_int(&slot) && slot < cells.size()) {
-      report->records[slot] = record;
-    }
-  }
-  report->resumed = held.answered;
-  report->interrupted = rc == 130;
-  if (rc == 2 || rc == 130) return rc;
-  const campaign::RecordTally tally = campaign::tally_records(report->records);
-  return tally.fail + tally.error > 0 ? 1 : 0;
-}
-
-int Client::wait(const SubmitHandlers& h, std::string* err) {
   Frame f;
-  while (read_frame(fd_, &reader_, &f)) {
-    if (f.type == FrameType::kProgress) {
-      if (h.on_progress) h.on_progress(decode_json_line(f.payload));
-    } else if (f.type == FrameType::kArtifact) {
-      std::string name, bytes, chunk;
-      if (decode_artifact(f.payload, &name, &bytes, &chunk) &&
-          h.on_artifact) {
-        h.on_artifact(name, bytes, chunk);
+  for (;;) {
+    ReadFail why = ReadFail::kNone;
+    if (!read_frame(fd_, &reader_, &f, 250, nullptr, &why)) {
+      if (why == ReadFail::kIdle && !stopped()) continue;
+      if (why != ReadFail::kIdle) {
+        *err = "daemon closed the connection before DONE";
+      }
+      hang_up();  // on should_stop: the daemon cancels what is queued
+      return results;
+    }
+    if (f.type == FrameType::kResult) {
+      int job = 0, slot = -1;
+      std::int64_t epoch = 0;
+      campaign::RunResult r;
+      if (!decode_result(f.payload, &job, &slot, &epoch, &r) || slot < 0 ||
+          static_cast<std::size_t>(slot) >= results.size()) {
+        *err = "malformed RESULT from the daemon";
+        hang_up();
+        return results;
+      }
+      const auto at = static_cast<std::size_t>(slot);
+      results[at] = std::move(r);
+      if (opts.on_result) opts.on_result(results[at]);
+      if (stopped()) {
+        hang_up();
+        return results;
       }
     } else if (f.type == FrameType::kDone) {
-      const std::string done = decode_json_line(f.payload);
-      if (h.on_done) h.on_done(done);
-      const auto doc = campaign::json::parse(done);
-      const std::string status = doc ? doc->str_or("status", "error") : "error";
-      if (status == "error") {
-        *err = doc ? doc->str_or("error", "") : "";
-        return 2;
+      done_ = decode_json_line(f.payload);
+      const auto doc = campaign::json::parse(done_);
+      const std::string status = doc ? doc->str_or("status", "") : "";
+      if (status != "ok") {
+        *err = doc ? doc->str_or("error", "job " + status) : "malformed DONE";
+        hang_up();
       }
-      if (status == "interrupted") return 130;
-      // Counts default to 0 when absent (a campaign's DONE has no
-      // violations, a search's no fail or error); a malformed one reads as
-      // a failure.
-      const auto count = [&](const char* key) {
-        std::uint64_t n = 0;
-        return doc->int_field(key, &n) ? n : 1;
-      };
-      return count("violations") + count("fail") + count("error") > 0 ? 1 : 0;
+      return results;
     } else if (f.type == FrameType::kBye) {
-      break;
+      const std::string reason = decode_bye(f.payload);
+      *err = "daemon closed the connection before DONE" +
+             (reason.empty() ? "" : ": " + reason);
+      hang_up();
+      return results;
     }
   }
-  *err = "daemon closed the connection before DONE";
-  return 2;
+}
+
+void Client::fleet_sections(campaign::json::Writer* w) const {
+  const auto doc = campaign::json::parse(done_);
+  if (!doc) return;
+  for (const char* key : {"fabric", "fleet"}) {
+    if (const campaign::json::Value* v = doc->find(key)) {
+      w->key(key).value_raw(std::string_view(done_).substr(v->begin,
+                                                           v->end - v->begin));
+    }
+  }
 }
 
 }  // namespace pfi::fabric

@@ -1,36 +1,22 @@
 // The client side of the campaign-as-a-service daemon (`pfi_fabricd`).
 //
 // One connection: dial, HELLO as a client (a BYE reply carries the
-// refusal reason), then any number of STATUS round trips and SUBMITs. A
-// submitted job streams PROGRESS lines and ARTIFACT frames (complete
-// documents, and live journal chunks keyed by content hash) to callbacks
-// until its DONE, which wait() maps to the campaign exit code. A campaign
-// job's report is the client's to build (submit_campaign).
+// refusal reason), then any number of STATUS round trips and run_cells
+// calls. run_cells is campaign::run_cells executed on the daemon's worker
+// pool: the caller plans, lints, journals, minimises and reports exactly
+// as it would locally, and the daemon only executes the cells it is sent.
 // `pfi_campaign --status` / `--submit` and the daemon's tests speak
 // through this class; docs/FABRIC.md describes the frames.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "campaign/report.hpp"
+#include "campaign/executor.hpp"
+#include "campaign/json.hpp"
 #include "fabric/wire.hpp"
 
 namespace pfi::fabric {
-
-struct SubmitHandlers {
-  /// One PROGRESS line (JSON).
-  std::function<void(const std::string& json)> on_progress;
-  /// One ARTIFACT: a complete document (`chunk` empty) or one live chunk
-  /// of a streamed one, keyed by the record's content hash.
-  std::function<void(const std::string& name, const std::string& bytes,
-                     const std::string& chunk)>
-      on_artifact;
-  /// The DONE document (JSON), before wait() returns.
-  std::function<void(const std::string& json)> on_done;
-};
 
 class Client {
  public:
@@ -47,32 +33,37 @@ class Client {
   /// One STATUS round trip: *json gets the daemon's document.
   bool status(std::string* json, std::string* err);
 
-  /// Send a SUBMIT; the job's frames arrive through wait().
-  bool submit(const Submit& s, std::string* err);
+  /// Label every later SUBMIT: the job's name in STATUS and the daemon's
+  /// log, and its distinct-worker quota (0 = none).
+  void set_job(const std::string& name, int max_workers);
 
-  /// Submit a campaign job and fill `report` as a local run over
-  /// `journal` would: the planned keys it answers travel as Submit.have,
-  /// every record the daemon returns joins it and fills the slot of the
-  /// plan index it carries, and `h` still sees each frame. `cells` must be the daemon's plan of `s` (its spec text with
-  /// the budgets applied, then the filter). Returns 2 or 130 as wait()
-  /// does, else 1 when the report holds a failure or error.
-  int submit_campaign(Submit s, const std::vector<campaign::RunCell>& cells,
-                      std::map<std::string, std::string>* journal,
-                      const SubmitHandlers& h,
-                      campaign::CampaignReport* report, std::string* err);
+  /// Run `cells` as one daemon job, with campaign::run_cells' contract:
+  /// results come back slot-ordered (results[i] is cells[i]), unfinished
+  /// slots keep index == -1, opts.on_result fires once per result as it
+  /// arrives, and opts.should_stop is sampled while waiting — on true the
+  /// client hangs up (the daemon cancels the job's queued cells) and
+  /// returns what arrived. The other executor knobs (jobs, isolate,
+  /// retries) belong to the daemon's workers. *err is set when the job was
+  /// refused or the connection failed before DONE; the connection is
+  /// closed then, and later calls return at once.
+  std::vector<campaign::RunResult> run_cells(
+      const std::vector<campaign::RunCell>& cells,
+      const campaign::ExecutorOptions& opts, std::string* err);
 
-  /// Stream the submitted job's frames to `h` until its DONE. Returns 0
-  /// when every cell passed (a search: no violation), 1 when one failed or
-  /// errored (a search: found a violation), 130 when the daemon was
-  /// interrupted, 2 when the job was rejected or errored or the connection
-  /// dropped before DONE (*err names why when known).
-  int wait(const SubmitHandlers& h, std::string* err);
+  /// Append the last finished job's "fabric" and "fleet" metrics sections,
+  /// as its DONE frame carried them, to a metrics document (the `side`
+  /// hook of campaign::metrics_json). Writes nothing before a DONE.
+  void fleet_sections(campaign::json::Writer* w) const;
 
  private:
   bool send(const std::string& frame_bytes);
+  void hang_up();
 
   int fd_ = -1;
   FrameReader reader_;
+  std::string job_name_;
+  int max_workers_ = 0;
+  std::string done_;  // the last job's DONE document
 };
 
 }  // namespace pfi::fabric

@@ -69,7 +69,7 @@ struct FabricStats {
   int unknown_frames = 0;      // well-framed types we ignored
 
   /// One flat JSON object, keys sorted by name — the form `--metrics-out`
-  /// and the daemon's metrics artifact embed under "fabric".
+  /// and the daemon's DONE frames embed under "fabric".
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -271,7 +271,8 @@ class Engine {
 };
 
 /// The metrics document's side channel for a fabric run, appended to
-/// campaign::metrics_json by `pfi_campaign --workers` and the daemon alike:
+/// campaign::metrics_json by `pfi_campaign --workers` and, through each
+/// job's DONE frame, by `pfi_campaign --submit` alike:
 /// "fabric" (the FabricStats counters) and "fleet" {"merged": merge_fleet,
 /// "workers": each worker's own snapshot}.
 void write_fleet_sections(

@@ -1,253 +1,62 @@
 #include "fabric/service.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <thread>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "campaign/executor.hpp"
-#include "campaign/journal.hpp"
 #include "campaign/json.hpp"
-#include "campaign/report.hpp"
-#include "campaign/runner.hpp"
-#include "campaign/spec.hpp"
 #include "fabric/wire.hpp"
-#include "obs/metrics.hpp"
-#include "search/search.hpp"
 
 namespace pfi::fabric {
 
 namespace {
 
-/// Handoff between a job thread (which wants batches executed) and the
-/// daemon's event loop (which owns the Engine). The job thread blocks in
-/// run(); the event loop picks the batch up, dispatches it through the
-/// Engine, and posts the slot-ordered results back.
-struct Bridge {
-  std::mutex mu;
-  std::condition_variable cv;
-  const std::vector<campaign::RunCell>* batch = nullptr;  // posted, not taken
-  bool batch_done = false;
-  std::vector<campaign::RunResult> batch_results;
-  std::vector<std::string> progress;  // job thread -> client, JSON lines
-  bool stop = false;                  // daemon shutting down: drain
-
-  std::vector<campaign::RunResult> run(
-      const std::vector<campaign::RunCell>& cells) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (stop || cells.empty()) {
-      // Executor contract for "nothing ran": default results, index == -1.
-      return std::vector<campaign::RunResult>(cells.size());
-    }
-    batch = &cells;
-    batch_done = false;
-    cv.wait(lock, [&] { return batch_done; });
-    batch = nullptr;
-    return std::move(batch_results);
-  }
-
-  void push_progress(const std::string& json) {
-    std::lock_guard<std::mutex> lock(mu);
-    progress.push_back(json);
-  }
-};
-
 struct Job {
   std::string id;
   int client_fd = -1;  // -1 once the client went away
-  Submit submit;
-  campaign::CampaignSpec spec;
-
-  Bridge bridge;
-  std::thread thread;
-  // Written by the job thread, read by the event loop strictly after
-  // `finished` turns true under the bridge mutex.
-  std::vector<std::pair<std::string, std::string>> artifacts;
-  std::string done_json;
+  Submit submit;       // the engine batch points into submit.cells
+  int engine_job = -1;
   bool finished = false;
-  /// Campaign jobs only: the executed results, handed to the event loop so
-  /// finish_job can assemble the metrics artifact *with* the engine's
-  /// fleet sections (the job thread has no engine).
-  std::vector<campaign::RunResult> results;
-  int cells_planned = 0;
-
-  // Event-loop-side dispatch state for the batch in flight.
-  bool dispatching = false;
-  int engine_job = -1;  // Engine batch id while dispatching
-  std::vector<campaign::RunResult> staged;
-  int done_cells = 0, total_cells = 0;
-  int pass = 0, fail = 0, error = 0;
+  int done = 0, pass = 0, fail = 0, error = 0;
 };
-
-std::string progress_json(const Job& job, const campaign::RunResult& r) {
-  campaign::json::Writer w;
-  w.begin_object();
-  w.kv("job", job.id);
-  w.kv("id", r.id);
-  w.kv("verdict", r.errored() ? "error" : (r.pass ? "pass" : "fail"));
-  w.kv("done", job.done_cells);
-  w.kv("total", job.total_cells);
-  w.kv("pass", job.pass);
-  w.kv("fail", job.fail);
-  w.kv("error", job.error);
-  w.end_object();
-  return w.str();
-}
-
-std::string done_error_json(const std::string& job_id,
-                            const std::string& message) {
-  campaign::json::Writer w;
-  w.begin_object();
-  w.kv("job", job_id);
-  w.kv("status", "error");
-  w.kv("error", message);
-  w.end_object();
-  return w.str();
-}
-
-/// The campaign job body (runs on the job thread). One bridge.run() call
-/// executes the plan's unanswered cells over the fabric. Cells whose
-/// content key appears in Submit.have are the client's resume set: they
-/// are never executed, never re-transferred, and counted as "resumed".
-/// The client builds the report from the records it holds plus the
-/// journal streamed here (Client::submit_campaign); the daemon adds the
-/// metrics document, whose fleet sections only the engine knows.
-void run_campaign_job(Job* job) {
-  const auto cells =
-      campaign::filter_cells(campaign::plan(job->spec), job->submit.filter);
-  // The client holds the records; which slots they answer is all the
-  // daemon needs, so its journal maps each held key to nothing.
-  std::map<std::string, std::string> held;
-  for (const std::string& key : job->submit.have) held.emplace(key, "");
-  const campaign::JournalSplit split = campaign::split_by_journal(cells, &held);
-
-  auto results = job->bridge.run(split.todo);
-
-  std::vector<std::string> records(split.todo.size());
-  campaign::splice_records(split.todo, results, &records);
-  std::map<std::string, std::string> journal;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto slot = static_cast<std::size_t>(split.todo[i].index);
-    if (!records[i].empty()) journal[split.keys[slot]] = records[i];
-  }
-  const campaign::RecordTally tally = campaign::tally_records(records);
-
-  campaign::json::Writer dw;
-  dw.begin_object();
-  dw.kv("job", job->id);
-  dw.kv("status", tally.skipped > 0 ? "interrupted" : "ok");
-  dw.kv("cells", static_cast<int>(records.size()));
-  dw.kv("pass", tally.pass);
-  dw.kv("fail", tally.fail);
-  dw.kv("error", tally.error);
-  if (tally.skipped > 0) dw.kv("skipped", tally.skipped);
-  if (split.answered > 0) dw.kv("resumed", split.answered);
-  dw.end_object();
-
-  std::lock_guard<std::mutex> lock(job->bridge.mu);
-  job->artifacts.emplace_back("journal", campaign::journal_jsonl(journal));
-  // The metrics artifact is assembled by the event loop (finish_job): its
-  // fleet sections come from the Engine, which this thread must not touch.
-  job->results = std::move(results);
-  job->cells_planned = static_cast<int>(cells.size());
-  job->done_json = dw.str();
-  job->finished = true;
-}
-
-/// The search job body: search::explore with its batch execution rerouted
-/// over the fabric. Minimizer probes stay in-process inside the daemon (see
-/// SearchOptions::run_batch) — they are sequential single cells.
-void run_search_job(Job* job) {
-  pfi::search::SearchOptions sopts;
-  sopts.budget = job->submit.explore;
-  if (job->submit.retries >= 0) sopts.retries = job->submit.retries;
-  sopts.run_batch = [job](const std::vector<campaign::RunCell>& cells,
-                          const campaign::ExecutorOptions&) {
-    return job->bridge.run(cells);
-  };
-  sopts.should_stop = [job] {
-    std::lock_guard<std::mutex> lock(job->bridge.mu);
-    return job->bridge.stop;
-  };
-  sopts.on_progress = [job](const std::string& line) {
-    campaign::json::Writer w;
-    w.begin_object();
-    w.kv("job", job->id);
-    w.kv("note", line);
-    w.end_object();
-    job->bridge.push_progress(w.str());
-  };
-
-  const pfi::search::SearchResult res =
-      pfi::search::explore(job->spec, sopts);
-
-  campaign::json::Writer dw;
-  dw.begin_object();
-  dw.kv("job", job->id);
-  if (!res.error.empty()) {
-    dw.kv("status", "error");
-    dw.kv("error", res.error);
-  } else {
-    dw.kv("status", res.interrupted ? "interrupted" : "ok");
-  }
-  dw.kv("executed", res.executed);
-  dw.kv("digests", static_cast<int>(res.corpus.size()));
-  dw.kv("violations", static_cast<int>(res.violations.size()));
-  dw.end_object();
-
-  std::lock_guard<std::mutex> lock(job->bridge.mu);
-  job->artifacts.emplace_back(
-      "report", pfi::search::report_json(job->spec, sopts, res) + "\n");
-  job->artifacts.emplace_back("corpus", res.corpus.to_jsonl());
-  job->done_json = dw.str();
-  job->finished = true;
-}
 
 class Service {
  public:
   Service(Listener* listener, const ServiceOptions& opts, ServiceStats* stats)
-      : opts_(opts), stats_(stats) {
-    if (stats_ == nullptr) stats_ = &own_stats_;  // STATUS reads these
+      : opts_(opts), stats_(stats != nullptr ? stats : &own_stats_) {
     if (opts_.max_active < 1) opts_.max_active = 1;
-    Engine::Options eopts;
-    eopts.lease_batch = opts.lease_batch;
-    eopts.dead_after_ms = opts.dead_after_ms;
-    eopts.reconnect_grace_ms = opts.reconnect_grace_ms;
-    eopts.heartbeat_ms = opts.heartbeat_ms;
-    eopts.token = opts.token;
-    eopts.allow = opts.allow;
+    Engine::Options eopts = opts_.engine;
     eopts.accept_clients = true;
-    eopts.on_log = opts.on_log;
     eopts.on_client_frame = [this](int fd, const Frame& f) {
       on_client_frame(fd, f);
     };
     eopts.on_client_closed = [this](int fd) { on_client_closed(fd); };
-    eopts.flight = opts.flight;
-    eopts.obs = opts.obs;
     engine_ = std::make_unique<Engine>(listener, std::move(eopts));
   }
 
   int run() {
     while (!(opts_.should_stop && opts_.should_stop())) {
       engine_->step(200);
-      pump();
+      active_.erase(std::remove_if(active_.begin(), active_.end(),
+                                   [](const auto& j) { return j->finished; }),
+                    active_.end());
+      start_queued();
     }
-    drain_all("daemon shutting down");
+    if (!active_.empty() || !queue_.empty()) {
+      log("shutting down with " + std::to_string(active_.size()) +
+          " active and " + std::to_string(queue_.size()) + " queued job(s)");
+    }
     engine_->shutdown("daemon shutting down");
-    if (stats_ != nullptr) stats_->fabric = engine_->stats;
+    stats_->fabric = engine_->stats;
     return 0;
   }
 
  private:
   void log(const std::string& msg) {
-    if (opts_.on_log) opts_.on_log(msg);
+    if (opts_.engine.on_log) opts_.engine.on_log(msg);
   }
 
   void send_json(int fd, FrameType type, const std::string& json) {
@@ -274,11 +83,10 @@ class Service {
     const auto job_obj = [&w](const Job& job, const char* phase) {
       w.begin_object();
       w.kv("job", job.id);
-      w.kv("spec", job.spec.name);
-      w.kv("kind", job.submit.explore > 0 ? "search" : "campaign");
+      w.kv("spec", job.submit.name);
       w.kv("phase", phase);
-      w.kv("done", job.done_cells);
-      w.kv("total", job.total_cells);
+      w.kv("done", job.done);
+      w.kv("total", static_cast<int>(job.submit.cells.size()));
       w.kv("pass", job.pass);
       w.kv("fail", job.fail);
       w.kv("error", job.error);
@@ -302,7 +110,8 @@ class Service {
     w.end_array();
     w.key("fabric").value_raw(engine_->stats.to_json());
     w.key("fleet_metrics").begin_object();
-    for (const auto& m : merge_fleet(engine_->worker_stats(), opts_.obs)) {
+    for (const auto& m :
+         merge_fleet(engine_->worker_stats(), opts_.engine.obs)) {
       w.kv(m.name, m.value);
     }
     w.end_object();
@@ -315,60 +124,40 @@ class Service {
       send_json(fd, FrameType::kStatus, status_json());
       return;
     }
-    if (f.type != FrameType::kSubmit) return;  // PROGRESS etc. are ours
-    Submit s;
-    std::string err;
-    if (!decode_submit(f.payload, &s)) {
-      err = "malformed SUBMIT payload";
-    }
-    const std::string id = "job-" + std::to_string(++job_seq_);
-    std::optional<campaign::CampaignSpec> spec;
-    if (err.empty()) {
-      spec = campaign::parse_spec(s.spec_text, &err);
-    }
-    if (!spec) {
-      if (stats_ != nullptr) ++stats_->jobs_rejected;
-      log(id + " rejected: " + err);
-      send_json(fd, FrameType::kDone, done_error_json(id, err));
+    if (f.type != FrameType::kSubmit) return;  // nothing else is ours
+    auto job = std::make_unique<Job>();
+    job->id = "job-" + std::to_string(++job_seq_);
+    job->client_fd = fd;
+    if (!decode_submit(f.payload, &job->submit)) {
+      ++stats_->jobs_rejected;
+      log(job->id + " rejected: malformed SUBMIT payload");
+      campaign::json::Writer w;
+      w.begin_object();
+      w.kv("job", job->id);
+      w.kv("status", "error");
+      w.kv("error", "malformed SUBMIT payload");
+      w.end_object();
+      send_json(fd, FrameType::kDone, w.str());
       return;
     }
-    if (s.timeout_ms >= 0) spec->timeout_ms = s.timeout_ms;
-    if (s.max_events >= 0) {
-      spec->max_sim_events = static_cast<std::uint64_t>(s.max_events);
-    }
-    auto job = std::make_unique<Job>();
-    job->id = id;
-    job->client_fd = fd;
-    job->submit = std::move(s);
-    job->spec = std::move(*spec);
-    if (stats_ != nullptr) ++stats_->jobs_accepted;
-    log(id + " queued: " + job->spec.name +
-        (job->submit.explore > 0 ? " (explore)" : " (campaign)") +
+    ++stats_->jobs_accepted;
+    log(job->id + " queued: " + job->submit.name + ", " +
+        std::to_string(job->submit.cells.size()) + " cell(s)" +
         (job->submit.max_workers > 0
              ? ", max_workers " + std::to_string(job->submit.max_workers)
              : ""));
     queue_.push_back(std::move(job));
-    maybe_start();
   }
 
   void on_client_closed(int fd) {
-    // The job's in-flight cells outlive the client, but nobody is waiting
-    // for the rest: cancel the still-queued cells (they come back
-    // index == -1) and stop a search job at its next generation.
+    // Nobody is waiting for the rest: cancel the still-queued cells (the
+    // ones a worker holds finish unseen) and drop never-started jobs.
     for (auto& jp : active_) {
-      Job* job = jp.get();
-      if (job->client_fd != fd) continue;
-      job->client_fd = -1;
-      {
-        std::lock_guard<std::mutex> lock(job->bridge.mu);
-        job->bridge.stop = true;
-      }
-      if (job->dispatching && job->engine_job >= 0) {
-        engine_->cancel_queued(job->engine_job);
-      }
-      log(job->id + " client gone: cancelling queued cells");
+      if (jp->client_fd != fd) continue;
+      jp->client_fd = -1;
+      engine_->cancel_queued(jp->engine_job);
+      log(jp->id + " client gone: cancelling queued cells");
     }
-    // Queued never-started jobs from that client are dropped outright.
     for (auto it = queue_.begin(); it != queue_.end();) {
       if ((*it)->client_fd == fd) {
         log((*it)->id + " dropped: client gone before start");
@@ -379,177 +168,50 @@ class Service {
     }
   }
 
-  void maybe_start() {
-    while (!draining_ &&
-           static_cast<int>(active_.size()) < opts_.max_active &&
+  void start_queued() {
+    while (static_cast<int>(active_.size()) < opts_.max_active &&
            !queue_.empty()) {
       active_.push_back(std::move(queue_.front()));
       queue_.pop_front();
       Job* job = active_.back().get();
-      if (stats_ != nullptr) {
-        stats_->peak_active =
-            std::max(stats_->peak_active, static_cast<int>(active_.size()));
-      }
+      stats_->peak_active =
+          std::max(stats_->peak_active, static_cast<int>(active_.size()));
       log(job->id + " started (" + std::to_string(active_.size()) +
           " active)");
-      job->thread = std::thread(job->submit.explore > 0 ? run_search_job
-                                                        : run_campaign_job,
-                                job);
-    }
-  }
-
-  /// One scheduling pass over every active job: relay progress, pick up
-  /// posted batches, finish completed jobs, start queued ones.
-  void pump() {
-    for (auto& jp : active_) {
-      Job* job = jp.get();
-      std::vector<std::string> progress;
-      const std::vector<campaign::RunCell>* batch = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(job->bridge.mu);
-        progress.swap(job->bridge.progress);
-        if (job->bridge.batch != nullptr && !job->bridge.batch_done &&
-            !job->dispatching) {
-          batch = job->bridge.batch;
-        }
-      }
-      for (const std::string& line : progress) {
-        send_json(job->client_fd, FrameType::kProgress, line);
-      }
-      if (batch != nullptr) dispatch(job, batch);
-    }
-
-    // Finish pass (separate loop: finishing erases from active_).
-    for (std::size_t i = active_.size(); i-- > 0;) {
-      bool finished = false;
-      {
-        std::lock_guard<std::mutex> lock(active_[i]->bridge.mu);
-        finished = active_[i]->finished;
-      }
-      if (finished) finish_job(i);
-    }
-    maybe_start();
-  }
-
-  void dispatch(Job* job, const std::vector<campaign::RunCell>* batch) {
-    job->dispatching = true;
-    job->staged.assign(batch->size(), campaign::RunResult{});
-    job->done_cells = 0;
-    job->total_cells = static_cast<int>(batch->size());
-    job->engine_job = engine_->add_batch(
-        batch,
-        [this, job, batch](int slot, campaign::RunResult r) {
-          ++job->done_cells;
-          if (r.errored()) {
-            ++job->error;
-          } else if (r.pass) {
-            ++job->pass;
-          } else {
-            ++job->fail;
-          }
-          const auto s = static_cast<std::size_t>(slot);
-          job->staged[s] = std::move(r);
-          send_json(job->client_fd, FrameType::kProgress,
-                    progress_json(*job, job->staged[s]));
-          // Stream the finished record to the client as one incremental
-          // journal chunk, keyed by content hash: a client killed now
-          // already holds this record and can resume past it.
-          if (job->submit.explore == 0 && job->client_fd >= 0) {
-            const std::string key = campaign::cell_key((*batch)[s]);
-            const std::string line = "{\"key\":\"" + key + "\",\"record\":" +
-                                     campaign::record_json(job->staged[s]) +
-                                     "}\n";
+      job->engine_job = engine_->add_batch(
+          &job->submit.cells,
+          [this, job](int slot, campaign::RunResult r) {
+            ++job->done;
+            ++(r.errored() ? job->error : r.pass ? job->pass : job->fail);
+            if (job->client_fd < 0) return;
             engine_->send_to_client(
                 job->client_fd,
-                encode_frame(FrameType::kArtifact,
-                             encode_artifact("journal", line, key)));
-          }
-        },
-        [job] {
-          std::lock_guard<std::mutex> lock(job->bridge.mu);
-          job->bridge.batch_results = std::move(job->staged);
-          job->bridge.batch_done = true;
-          job->dispatching = false;
-          job->engine_job = -1;
-          job->bridge.cv.notify_all();
-        },
-        job->submit.max_workers);
-  }
-
-  void finish_job(std::size_t i) {
-    Job* job = active_[i].get();
-    job->thread.join();
-    if (job->submit.explore == 0) {
-      // The deterministic per-cell merge plus the side channel only the
-      // engine knows: FabricStats and the fleet's worker registries.
-      job->artifacts.emplace_back(
-          "metrics",
-          campaign::metrics_json(job->spec.name, job->cells_planned,
-                                 job->results,
-                                 [this](campaign::json::Writer* w) {
-                                   write_fleet_sections(
-                                       w, engine_->stats,
-                                       engine_->worker_stats(), opts_.obs);
-                                 }) +
-              "\n");
-    }
-    for (const auto& [name, bytes] : job->artifacts) {
-      if (job->client_fd >= 0) {
-        engine_->send_to_client(
-            job->client_fd,
-            encode_frame(FrameType::kArtifact, encode_artifact(name, bytes)));
-      }
-    }
-    send_json(job->client_fd, FrameType::kDone, job->done_json);
-    log(job->id + " finished");
-    if (stats_ != nullptr) ++stats_->jobs_completed;
-    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-
-  /// Shutdown with jobs in flight: release every job thread with whatever
-  /// results exist (unfinished slots keep index == -1), then finish them
-  /// so each client at least gets a DONE.
-  void drain_all(const std::string& reason) {
-    draining_ = true;
-    while (!active_.empty()) {
-      bool all_finished = true;
-      for (auto& jp : active_) {
-        Job* job = jp.get();
-        std::lock_guard<std::mutex> lock(job->bridge.mu);
-        job->bridge.stop = true;
-        if (job->bridge.batch != nullptr && !job->bridge.batch_done) {
-          job->bridge.batch_results = std::move(job->staged);
-          job->bridge.batch_results.resize(job->bridge.batch->size());
-          job->bridge.batch_done = true;
-          job->dispatching = false;
-          job->engine_job = -1;
-        }
-        job->bridge.cv.notify_all();
-        if (!job->finished) all_finished = false;
-      }
-      if (!all_finished) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      log("drained " + std::to_string(active_.size()) + " job(s): " + reason);
-      while (!active_.empty()) finish_job(active_.size() - 1);
-    }
-    // Queued jobs never started; tell their clients.
-    while (!queue_.empty()) {
-      auto j = std::move(queue_.front());
-      queue_.pop_front();
-      send_json(j->client_fd, FrameType::kDone,
-                done_error_json(j->id, reason));
+                encode_frame(FrameType::kResult,
+                             encode_result(job->engine_job, slot, 0, r)));
+          },
+          [this, job] {
+            campaign::json::Writer w;
+            w.begin_object();
+            w.kv("job", job->id);
+            w.kv("status", "ok");
+            write_fleet_sections(&w, engine_->stats, engine_->worker_stats(),
+                                 opts_.engine.obs);
+            w.end_object();
+            send_json(job->client_fd, FrameType::kDone, w.str());
+            log(job->id + " finished");
+            ++stats_->jobs_completed;
+            job->finished = true;
+          },
+          job->submit.max_workers);
     }
   }
 
   ServiceOptions opts_;
-  ServiceStats* stats_;
   ServiceStats own_stats_;  // backing store when the caller passed none
+  ServiceStats* stats_;
   std::unique_ptr<Engine> engine_;
   std::deque<std::unique_ptr<Job>> queue_;
   std::vector<std::unique_ptr<Job>> active_;
-  bool draining_ = false;
   int job_seq_ = 0;
 };
 

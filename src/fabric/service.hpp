@@ -1,44 +1,37 @@
-// Campaign-as-a-service daemon (`pfi_fabricd`).
+// Campaign-as-a-service daemon (`pfi_fabricd`): a remote run_cells.
 //
 // One long-lived Engine accepts *both* kinds of connection on one socket:
 // workers (HELLO role=worker) join the lease pool exactly as they would for
-// a one-shot coordinator, and clients (HELLO role=client) SUBMIT campaign
-// or search specs as jobs. Up to max_active jobs run **concurrently** over
-// the shared worker pool — each job's cells are a separate Engine batch,
-// leases are granted round-robin across jobs, and a job's `--max-workers`
-// quota caps how many distinct workers serve it at once. Further
-// submissions queue FIFO behind the active set.
+// a one-shot coordinator, and clients (HELLO role=client) SUBMIT jobs. A
+// job is a list of cells the client planned; the daemon plans, filters,
+// lints, journals and reports nothing, so a submitted run goes through the
+// same client-side code as a local one (`pfi_campaign --submit`). Up to
+// max_active jobs run **concurrently** over the shared worker pool — each
+// job's cells are a separate Engine batch, leases are granted round-robin
+// across jobs, and a job's `max_workers` quota caps how many distinct
+// workers serve it at once. Further submissions queue FIFO behind the
+// active set.
 //
-// Each job runs on its own thread (campaign assembly, or search::explore's
-// mutation loop) and posts cell batches to the daemon's event loop through
-// a Bridge; the event loop dispatches them through the Engine and posts the
-// slot-ordered results back. So the execution path — and therefore every
-// record — is byte-identical to `pfi_campaign --workers N`, which is
-// byte-identical to `--jobs 1`.
+// Each finished cell goes back to its client as one RESULT frame (the
+// worker's frame, slot = the cell's position in the SUBMIT), so the
+// execution path — and therefore every record — is byte-identical to
+// `pfi_campaign --workers N`, which is byte-identical to `--jobs 1`. When
+// every cell has a result the client gets one DONE frame: the job id, its
+// status and the fleet's "fabric"/"fleet" metrics sections. A client that
+// disconnects mid-job has its still-queued cells cancelled (cells a worker
+// already holds finish unseen), and its queued never-started jobs are
+// dropped. On shutdown every connection gets a BYE; a client whose job had
+// not finished reports its unfinished cells as never run.
 //
-// While a campaign job runs, its client receives PROGRESS frames (one JSON
-// line per finished cell) *and* incremental journal ARTIFACT chunks — each
-// finished record streamed as one journal line keyed by its content hash —
-// so a client killed mid-run already holds every delivered record and can
-// resubmit with Submit.have to execute only the remainder. When a job
-// ends: final ARTIFACT frames (campaign: journal + metrics, the client
-// building the report itself; search: report + corpus) and one DONE
-// frame with the summary. A client that disconnects mid-job doesn't kill
-// the job's in-flight cells, but its still-queued cells are cancelled
-// (nobody is listening) and queued never-started jobs from that client
-// are dropped.
-//
-// Any client may also send an empty STATUS frame at any time (wire v3) and
-// gets back one STATUS frame carrying a deterministic-schema JSON document:
-// daemon counters, every active/queued job with its progress tallies, every
-// known worker's lease/reattach/last-seen state, the FabricStats counters,
-// and the fleet-merged metrics. `pfi_campaign --status ADDR` is the CLI for
+// Any client may also send an empty STATUS frame at any time and gets back
+// one STATUS frame carrying a deterministic-schema JSON document: daemon
+// counters, every active/queued job with its progress tallies, every known
+// worker's lease/reattach/last-seen state, the FabricStats counters, and
+// the fleet-merged metrics. `pfi_campaign --status ADDR` is the CLI for
 // it; docs/FABRIC.md "Fleet observability" pins the schema.
 #pragma once
 
 #include <functional>
-#include <string>
-#include <vector>
 
 #include "fabric/coordinator.hpp"
 #include "fabric/socket.hpp"
@@ -48,34 +41,21 @@ namespace pfi::fabric {
 struct ServiceStats {
   int jobs_accepted = 0;
   int jobs_completed = 0;
-  int jobs_rejected = 0;   // SUBMITs that failed to parse/plan
+  int jobs_rejected = 0;   // SUBMITs that failed to decode
   int peak_active = 0;     // most jobs ever running concurrently
   FabricStats fabric;      // copied from the engine at shutdown
 };
 
 struct ServiceOptions {
-  int lease_batch = 8;
-  int dead_after_ms = 5000;
-  /// Detached-worker grace before requeue; -1 = dead_after_ms.
-  int reconnect_grace_ms = -1;
-  /// Coordinator -> worker liveness beat interval (0 = off).
-  int heartbeat_ms = 500;
-  /// Shared secret every HELLO (worker *and* client) must present.
-  std::string token;
-  /// TCP peer-address allowlist (dotted quads); empty = all.
-  std::vector<std::string> allow;
+  /// The daemon's Engine: lease sizing, liveness, auth, logging and the
+  /// observability plane (`flight`/`obs` also feed STATUS and every DONE's
+  /// fleet sections). The client hooks (`accept_clients`,
+  /// `on_client_frame`, `on_client_closed`) are the service's own.
+  Engine::Options engine;
   /// Jobs running concurrently over the shared pool; more queue FIFO.
   int max_active = 4;
-  /// Sampled every loop iteration; true drains the active jobs (their
-  /// unfinished cells come back index == -1) and BYEs everyone.
+  /// Sampled every loop iteration; true BYEs every connection.
   std::function<bool()> should_stop;
-  std::function<void(const std::string&)> on_log;
-  /// Observability plane (optional, side-channel): the daemon's Engine
-  /// records control-plane events into `flight` and coordinator stage
-  /// timings into `obs`; both feed the STATUS reply and the fleet section
-  /// of every campaign job's metrics artifact.
-  FlightRecorder* flight = nullptr;
-  obs::Registry* obs = nullptr;
 };
 
 /// Run the daemon event loop until should_stop. Returns 0 on a clean

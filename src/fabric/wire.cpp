@@ -443,14 +443,12 @@ std::string decode_bye(std::string_view payload) {
 
 std::string encode_submit(const Submit& s) {
   std::string out;
-  kv::put(&out, "spec", s.spec_text);
-  kv::put(&out, "filter", s.filter);
-  kv::put_i64(&out, "timeout_ms", s.timeout_ms);
-  kv::put_i64(&out, "max_events", s.max_events);
-  kv::put_i64(&out, "retries", s.retries);
-  kv::put_i64(&out, "explore", s.explore);
+  kv::put(&out, "name", s.name);
   kv::put_i64(&out, "max_workers", s.max_workers);
-  for (const std::string& k : s.have) kv::put(&out, "have", k);
+  kv::put_u64(&out, "n", s.cells.size());
+  for (const campaign::RunCell& c : s.cells) {
+    kv::put(&out, "cell", encode_cell(c));
+  }
   return out;
 }
 
@@ -458,29 +456,22 @@ bool decode_submit(std::string_view payload, Submit* out) {
   kv::Scan scan{payload};
   std::string key, value;
   Submit s;
-  bool have_spec = false;
+  std::uint64_t n = 0;
   kv::Num num;
   while (scan.next(&key, &value)) {
-    if (key == "spec") {
-      s.spec_text = value;
-      have_spec = true;
-    } else if (key == "filter") {
-      s.filter = value;
-    } else if (key == "timeout_ms") {
-      num.read(value, &s.timeout_ms);
-    } else if (key == "max_events") {
-      num.read(value, &s.max_events);
-    } else if (key == "retries") {
-      num.read(value, &s.retries);
-    } else if (key == "explore") {
-      num.read(value, &s.explore);
+    if (key == "name") {
+      s.name = value;
     } else if (key == "max_workers") {
       num.read(value, &s.max_workers);
-    } else if (key == "have") {
-      s.have.push_back(value);
+    } else if (key == "n") {
+      num.read(value, &n);
+    } else if (key == "cell") {
+      campaign::RunCell cell;
+      if (!decode_cell(value, &cell)) return false;
+      s.cells.push_back(std::move(cell));
     }
   }
-  if (!num.ok || !have_spec) return false;
+  if (!num.ok || s.cells.size() != n) return false;
   *out = std::move(s);
   return true;
 }
@@ -498,35 +489,6 @@ std::string decode_json_line(std::string_view payload) {
     if (key == "json") return value;
   }
   return "";
-}
-
-std::string encode_artifact(std::string_view name, std::string_view bytes,
-                            std::string_view chunk) {
-  std::string out;
-  kv::put(&out, "name", name);
-  if (!chunk.empty()) kv::put(&out, "chunk", chunk);
-  kv::put(&out, "bytes", bytes);
-  return out;
-}
-
-bool decode_artifact(std::string_view payload, std::string* name,
-                     std::string* bytes, std::string* chunk) {
-  kv::Scan scan{payload};
-  std::string key, value;
-  bool have_name = false, have_bytes = false;
-  if (chunk != nullptr) chunk->clear();
-  while (scan.next(&key, &value)) {
-    if (key == "name") {
-      *name = value;
-      have_name = true;
-    } else if (key == "bytes") {
-      *bytes = value;
-      have_bytes = true;
-    } else if (key == "chunk") {
-      if (chunk != nullptr) *chunk = value;
-    }
-  }
-  return have_name && have_bytes;
 }
 
 }  // namespace pfi::fabric

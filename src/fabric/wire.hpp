@@ -34,13 +34,14 @@
 //                           coordinator it means "campaign finished" (or
 //                           on a client/daemon socket, "job rejected")
 //
-// The daemon speaks the same framing with four more types on client
-// connections: SUBMIT (a campaign/search spec + overrides, including a
-// per-job worker quota and the content keys the client already holds),
-// PROGRESS (JSON lines), ARTIFACT (named output documents — either a
-// complete final document, or an incremental chunk keyed by content hash
-// so journal lines stream to the client *during* the run) and DONE (job
-// summary).
+// The daemon speaks the same framing with three more types on client
+// connections: SUBMIT (a job: its name, a per-job worker quota and the
+// cells the client planned), RESULT back to the client (one per finished
+// cell, the worker's frame with the job's slot) and DONE (job status plus
+// the fleet's metrics sections). The daemon plans nothing: it executes the
+// cells it is sent, so a submitted run goes through the client's own
+// planning, journaling and reporting code. Types 7 and 8 (v3's PROGRESS
+// and ARTIFACT) are retired into the reserved window.
 //
 // v3 adds the fleet observability plane (docs/OBSERVABILITY.md):
 //
@@ -80,9 +81,10 @@
 namespace pfi::fabric {
 
 /// Bumped on any incompatible change to frames or payloads (v2 added auth
-/// tokens, worker ids, lease epochs, job-scoped leases, artifact chunks;
-/// v3 added STATS/STATUS). Both ends speak exactly this version.
-constexpr std::uint32_t kProtocolVersion = 3;
+/// tokens, worker ids, lease epochs, job-scoped leases; v3 added
+/// STATS/STATUS; v4 made SUBMIT carry cells and retired PROGRESS and
+/// ARTIFACT). Both ends speak exactly this version.
+constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Frames above this are garbage (or an attack), not campaigns.
 constexpr std::uint32_t kMaxFramePayload = 64u << 20;
@@ -98,21 +100,19 @@ enum class FrameType : std::uint8_t {
   kResult = 3,
   kHeartbeat = 4,
   kBye = 5,
-  // Daemon (client connections) only:
+  // Daemon (client connections) only; 7 and 8 are retired (reserved):
   kSubmit = 6,
-  kProgress = 7,
-  kArtifact = 8,
   kDone = 9,
   // v3 observability plane:
   kStats = 10,   // worker -> coordinator: cumulative metrics snapshot
   kStatus = 11,  // client -> daemon: empty request; reply carries JSON
 };
 
-/// Frame types in (kStatus, kMaxReservedFrameType] parse as well-formed
-/// frames that the current code ignores (with a FabricStats counter) — the
-/// forward-compatibility window for future protocol versions. Types above
-/// it are garbage and mark the stream corrupt, as an impossible length
-/// does.
+/// Frame types in (kStatus, kMaxReservedFrameType], and the retired 7 and
+/// 8, parse as well-formed frames that the current code ignores (with a
+/// FabricStats counter on worker links) — the forward-compatibility window
+/// for future protocol versions. Types above it are garbage and mark the
+/// stream corrupt, as an impossible length does.
 constexpr std::uint8_t kMaxReservedFrameType = 31;
 
 struct Frame {
@@ -226,38 +226,21 @@ bool decode_stats(std::string_view payload,
 std::string encode_bye(std::string_view reason);
 std::string decode_bye(std::string_view payload);  // reason ("" = graceful)
 
-// --- daemon: submit / progress / artifact / done ---------------------------
+// --- daemon: submit / done ------------------------------------------------
 
-/// A job submission: the spec *text* (the daemon parses and plans; the
-/// client stays dumb) plus the CLI's override knobs.
+/// A job submission: the cells to execute, exactly as the client planned
+/// them (plan indices, budgets and schedules included).
 struct Submit {
-  std::string spec_text;
-  std::string filter;
-  int timeout_ms = -1;       // -1 = keep the spec's value
-  std::int64_t max_events = -1;
-  int retries = -1;
-  int explore = 0;           // > 0: coverage-guided search with this budget
-  int max_workers = 0;       // > 0: cap on workers leasing this job at once
-  /// Content keys (campaign/journal.hpp cell_key) the client already holds
-  /// a record for — a resubmitting client's resume set. The daemon skips
-  /// matching cells; their records never re-execute or re-transfer.
-  std::vector<std::string> have;
+  std::string name;     // the job's label in STATUS and the daemon's log
+  int max_workers = 0;  // > 0: cap on workers leasing this job at once
+  std::vector<campaign::RunCell> cells;
 };
 
 std::string encode_submit(const Submit& s);
 bool decode_submit(std::string_view payload, Submit* out);
 
-/// PROGRESS and DONE carry one JSON document; ARTIFACT carries a named one.
+/// STATUS replies and DONE carry one JSON document.
 std::string encode_json_line(FrameType type, std::string_view json);
 std::string decode_json_line(std::string_view payload);
-
-/// A complete artifact (`chunk` empty) or one incremental chunk of a
-/// streaming artifact, keyed by the content hash of the record it carries —
-/// journal lines flow to the client as they are produced, and a client that
-/// died mid-stream resubmits with Submit.have to resume from what it kept.
-std::string encode_artifact(std::string_view name, std::string_view bytes,
-                            std::string_view chunk = {});
-bool decode_artifact(std::string_view payload, std::string* name,
-                     std::string* bytes, std::string* chunk = nullptr);
 
 }  // namespace pfi::fabric

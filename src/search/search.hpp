@@ -68,10 +68,11 @@ struct SearchOptions {
   std::function<bool()> should_stop;
 
   /// Batch-execution override. When set, each generation's surviving cells
-  /// go through this instead of campaign::run_cells — the fabric daemon
-  /// plugs distributed execution in here. Must keep the executor contract:
-  /// results[i] corresponds to cells[i], index == -1 for unexecuted slots.
-  /// Minimizer probes (single cells) stay in-process either way: they are
+  /// go through this instead of campaign::run_cells — `pfi_campaign
+  /// --submit` plugs fabric::Client::run_cells in here, so generations run
+  /// on a pfi_fabricd daemon. Must keep the executor contract: results[i]
+  /// corresponds to cells[i], index == -1 for unexecuted slots. Minimizer
+  /// probes (single cells) stay in-process either way: they are
   /// sequential by nature and usually journal-cached.
   std::function<std::vector<campaign::RunResult>(
       const std::vector<campaign::RunCell>&,

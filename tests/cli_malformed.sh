@@ -27,7 +27,16 @@ expect2 --jobs "$bin/pfi_campaign" "$spec" --jobs abc --list
 expect2 --jobs "$bin/pfi_campaign" "$spec" --list --jobs
 expect2 --explore "$bin/pfi_campaign" "$spec" --explore=abc
 expect2 --seed "$bin/pfi_campaign" "$spec" --explore=4 --seed 18446744073709551616
-expect2 --seed "$bin/pfi_campaign" "$spec" --submit unix:/nonexistent --explore=4 --seed 7
+# Local-execution flags do not travel with --submit: each is refused by
+# name before any connection is tried (the address below does not exist).
+for flag in "--jobs 2" --isolate "--retries 1" "--workers 2" \
+    "--listen 127.0.0.1:0" "--heartbeat-ms 100" "--dead-after-ms 100" \
+    "--reconnect-grace-ms 100" "--workers-flap 1" --workers-kill-one \
+    "--flight-out $tmp/flight.jsonl"; do
+  # shellcheck disable=SC2086  # split "--flag value" into two words
+  expect2 "${flag%% *}" "$bin/pfi_campaign" "$spec" --submit unix:/nonexistent $flag
+done
+expect2 --max-workers "$bin/pfi_campaign" "$spec" --max-workers 2 --list
 expect2 solarsi "$bin/pfi_campaign" "$tmp/typo.spec" --list
 expect2 --node "$bin/pfi_run" --protocol gmp --node 9
 expect2 --node "$bin/pfi_run" --protocol gmp --node abc

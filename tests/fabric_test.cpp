@@ -3,12 +3,15 @@
 // distribution (byte-identical records at any worker count, link flaps
 // included), lease requeueing when a worker dies mid-lease, reconnect and
 // result re-send dedupe, journal merging, and the campaign-as-a-service
-// daemon end to end — including the client-built report over a resumed
-// job, two jobs running concurrently over one worker pool and the live
-// journal chunk stream.
+// daemon end to end — a submitted job's records byte-identical to
+// run_cells, a hung-up client's queued cells cancelled, two jobs running
+// concurrently over one worker pool, and STATUS plus DONE's fleet
+// sections.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -226,31 +229,23 @@ TEST(FabricWire, LeaseGrantCarriesJobAndEpochs) {
   EXPECT_EQ(back[1].id, grant[1].id);
 }
 
-TEST(FabricWire, SubmitCarriesResumeKeysAndWorkerQuota) {
+TEST(FabricWire, SubmitCarriesNameQuotaAndCells) {
   Submit s;
-  s.spec_text = "name x\n";
+  s.name = "fabric-unit";
   s.max_workers = 3;
-  s.have = {"00000000000000aa", "00000000000000ff"};
+  s.cells = campaign::plan(small_gmp_spec());
   Submit back;
   ASSERT_TRUE(decode_submit(encode_submit(s), &back));
-  EXPECT_EQ(back.spec_text, s.spec_text);
+  EXPECT_EQ(back.name, s.name);
   EXPECT_EQ(back.max_workers, 3);
-  EXPECT_EQ(back.have, s.have);
-}
-
-TEST(FabricWire, ArtifactChunksCarryTheirContentKey) {
-  std::string name, bytes, chunk;
-  ASSERT_TRUE(decode_artifact(
-      encode_artifact("journal", "{\"key\":\"00aa\",\"record\":{}}\n", "00aa"),
-      &name, &bytes, &chunk));
-  EXPECT_EQ(name, "journal");
-  EXPECT_EQ(chunk, "00aa");
-  EXPECT_EQ(bytes, "{\"key\":\"00aa\",\"record\":{}}\n");
-  // Final (complete) artifacts leave the chunk key empty.
-  ASSERT_TRUE(
-      decode_artifact(encode_artifact("report", "{}"), &name, &bytes, &chunk));
-  EXPECT_EQ(name, "report");
-  EXPECT_TRUE(chunk.empty());
+  ASSERT_EQ(back.cells.size(), s.cells.size());
+  for (std::size_t i = 0; i < s.cells.size(); ++i) {
+    EXPECT_EQ(encode_cell(back.cells[i]), encode_cell(s.cells[i])) << i;
+  }
+  // A cell count that disagrees with the cells carried rejects the frame.
+  std::string p = encode_submit(s);
+  kv::put(&p, "cell", encode_cell(s.cells[0]));
+  EXPECT_FALSE(decode_submit(p, &back));
 }
 
 // --- coordinator + workers -------------------------------------------------
@@ -286,7 +281,7 @@ TEST(Fabric, VersionMismatchIsRejectedWithByeReason) {
   EXPECT_NE(reason.find("version mismatch"), std::string::npos) << reason;
   // The BYE names the version the coordinator wanted, so a stale binary's
   // operator knows what to rebuild.
-  EXPECT_NE(reason.find("expected v3"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("expected v4"), std::string::npos) << reason;
   close(fd);
 
   stop.store(true);
@@ -621,9 +616,9 @@ TEST(FabricWire, DecodersRejectOverflowedNumericFields) {
   }
   {
     Submit sub;
-    sub.spec_text = "protocol gmp\n";
+    sub.name = "x";
     std::string p = encode_submit(sub);
-    kv::put(&p, "timeout_ms", "99999999999");
+    kv::put(&p, "max_workers", "99999999999");
     Submit out;
     EXPECT_FALSE(decode_submit(p, &out));
   }
@@ -754,23 +749,20 @@ TEST(FabricJournal, MergeDedupesSortsAndIgnoresInputOrder) {
 
 // --- the daemon ------------------------------------------------------------
 
-TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
-  const std::string spec_text =
-      "name fabric-unit\n"
-      "protocol gmp\n"
-      "oracle quiet\n"
-      "types gmp-heartbeat gmp-commit\n"
-      "faults drop\n"
-      "seeds 1000..1002\n"
-      "burst 2\n"
-      "side receive\n"
-      "duration_s 40\n";
-  std::string err;
-  const auto spec = campaign::parse_spec(spec_text, &err);
-  ASSERT_TRUE(spec.has_value()) << err;
-  const auto cells = campaign::plan(*spec);
+TEST(FabricService, RunsSubmittedJobByteIdenticalToRunCells) {
+  const CampaignSpec spec = small_gmp_spec();
+  const auto cells = campaign::plan(spec);
   const auto baseline = campaign::run_cells(cells, {});
+  // A job the client abandons after its first result: big enough that
+  // running it out would take far more leases than the cancel leaves.
+  CampaignSpec big_spec = spec;
+  big_spec.name = "abandoned";
+  big_spec.seeds.clear();
+  for (std::uint64_t s = 2000; s < 2100; ++s) big_spec.seeds.push_back(s);
+  const auto big = campaign::plan(big_spec);
+  ASSERT_GE(big.size(), 100u);
 
+  std::string err;
   Listener listener;
   ASSERT_TRUE(listener.open("127.0.0.1:0", &err)) << err;
   // Worker first (fork needs a single-threaded parent), then the service.
@@ -783,6 +775,7 @@ TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
   ServiceStats stats;
   std::thread daemon([&] {
     ServiceOptions sopts;
+    sopts.engine.lease_batch = 1;  // one lease per executed cell
     sopts.should_stop = [&] { return stop.load(); };
     run_service(&listener, sopts, &stats);
   });
@@ -790,105 +783,73 @@ TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
   Client client;
   ASSERT_TRUE(client.connect(listener.address(), "", "test-client", &err))
       << err;
-  Submit submit;
-  submit.spec_text = spec_text;
-  int progress_frames = 0;
-  std::string journal, done, streamed;
-  bool report_artifact = false;
-  int journal_chunks = 0;
-  SubmitHandlers h;
-  h.on_progress = [&](const std::string&) { ++progress_frames; };
-  h.on_artifact = [&](const std::string& name, const std::string& content,
-                      const std::string& chunk) {
-    report_artifact |= name == "report";
-    if (name != "journal") return;
-    if (chunk.empty()) {
-      journal = content;  // the complete final document
-    } else {
-      ++journal_chunks;  // one live record line, streamed mid-run
-      streamed += content;
-    }
+  client.set_job(spec.name, 0);
+  std::size_t streamed = 0;
+  campaign::ExecutorOptions eo;
+  eo.on_result = [&](const RunResult&) { ++streamed; };
+  const auto results = client.run_cells(cells, eo, &err);
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_EQ(streamed, cells.size());
+  EXPECT_EQ(record_strings(results), record_strings(baseline));
+  // The report built from them is the in-process one, byte for byte, with
+  // the layout docs/CAMPAIGN.md pins: failing_ids inside the summary.
+  const auto report_of = [&](const std::vector<RunResult>& rs) {
+    campaign::CampaignReport report;
+    report.records.resize(cells.size());
+    campaign::splice_records(cells, rs, &report.records);
+    return campaign::report_json(spec, report,
+                                 campaign::tally_records(report.records));
   };
-  h.on_done = [&](const std::string& json) { done = json; };
-  std::map<std::string, std::string> held;
-  campaign::CampaignReport report;
-  const int rc = client.submit_campaign(submit, cells, &held, h, &report, &err);
-
-  // Resubmitted over the journal it now holds, the job executes nothing
-  // and the client still reports every cell, as a local --resume does.
-  std::string resumed_done;
-  SubmitHandlers again;
-  again.on_done = [&](const std::string& json) { resumed_done = json; };
-  campaign::CampaignReport resumed;
-  const int resumed_rc =
-      client.submit_campaign(submit, cells, &held, again, &resumed, &err);
-  stop.store(true);
-  daemon.join();
-  reap_local_workers(&pool);
-
-  EXPECT_GE(progress_frames, static_cast<int>(cells.size()));
-  EXPECT_NE(done.find("\"status\":\"ok\""), std::string::npos) << done;
-  // Campaign reports are the client's to build; the daemon sends none.
-  EXPECT_FALSE(report_artifact);
-  // The client's report is the shared writer's document for the in-process
-  // baseline, byte for byte: a local run differs only in the host fields.
-  campaign::CampaignReport local;
-  local.records.resize(cells.size());
-  campaign::splice_records(cells, baseline, &local.records);
-  const campaign::RecordTally tally = campaign::tally_records(local.records);
-  const std::string local_json = campaign::report_json(*spec, local, tally);
-  const std::string report_text = campaign::report_json(
-      *spec, report, campaign::tally_records(report.records));
-  EXPECT_EQ(report_text, local_json);
-  EXPECT_EQ(rc, tally.fail + tally.error > 0 ? 1 : 0) << err;
-  // The layout docs/CAMPAIGN.md pins: failing_ids inside the summary.
+  const std::string report_text = report_of(results);
+  EXPECT_EQ(report_text, report_of(baseline));
   const auto doc = campaign::json::parse(report_text);
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("failing_ids"), nullptr);
   ASSERT_NE(doc->find("summary"), nullptr);
   EXPECT_NE(doc->find("summary")->find("failing_ids"), nullptr);
-  // The resumed report holds the same records, all of them resumed.
-  EXPECT_NE(resumed_done.find("\"cells\":0"), std::string::npos)
-      << resumed_done;
-  EXPECT_EQ(resumed.records, local.records);
-  EXPECT_EQ(resumed.resumed, static_cast<int>(cells.size()));
-  EXPECT_EQ(resumed_rc, rc);
-  // The journal artifact is the sorted normal form keyed by content hash.
-  ASSERT_FALSE(journal.empty());
-  std::size_t lines = 0;
-  for (char c : journal) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, cells.size());
-  // Every record also streamed live, one chunk each; sorting the chunk
-  // lines reproduces the final artifact exactly — so a client killed
-  // mid-run already held everything delivered up to that point.
-  EXPECT_EQ(journal_chunks, static_cast<int>(cells.size()));
-  const std::string tmp = "/tmp/pfi_fabric_test_stream.jsonl";
+
+  // A client that hangs up mid-job: the daemon cancels its queued cells,
+  // and the job completes without executing them.
   {
-    std::ofstream out(tmp);
-    out << streamed;
+    Client quitter;
+    ASSERT_TRUE(quitter.connect(listener.address(), "", "quitter", &err))
+        << err;
+    quitter.set_job(big_spec.name, 0);
+    std::size_t got = 0;
+    campaign::ExecutorOptions stop_eo;
+    stop_eo.on_result = [&](const RunResult&) { ++got; };
+    stop_eo.should_stop = [&] { return got > 0; };
+    const auto partial = quitter.run_cells(big, stop_eo, &err);
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_EQ(got, 1u);
+    const auto ran = std::count_if(partial.begin(), partial.end(),
+                                   [](const RunResult& r) {
+                                     return r.index >= 0;
+                                   });
+    EXPECT_EQ(ran, 1);
   }
-  EXPECT_EQ(campaign::journal_jsonl(campaign::load_journal(tmp)), journal);
-  std::remove(tmp.c_str());
-  EXPECT_EQ(campaign::journal_jsonl(held), journal);
+  std::string status;
+  for (int i = 0; i < 250; ++i) {
+    ASSERT_TRUE(client.status(&status, &err)) << err;
+    if (status.find("\"jobs_completed\":2") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_NE(status.find("\"jobs_completed\":2"), std::string::npos)
+      << status;
+  stop.store(true);
+  daemon.join();
+  reap_local_workers(&pool);
   EXPECT_EQ(stats.jobs_completed, 2);
+  EXPECT_LT(stats.fabric.leases_granted,
+            static_cast<int>(cells.size() + big.size() / 2));
 }
 
 TEST(FabricService, RunsTwoJobsConcurrentlyOverOnePool) {
-  const std::string spec_text =
-      "name fabric-unit\n"
-      "protocol gmp\n"
-      "oracle quiet\n"
-      "types gmp-heartbeat gmp-commit\n"
-      "faults drop\n"
-      "seeds 1000..1002\n"
-      "burst 2\n"
-      "side receive\n"
-      "duration_s 40\n";
-  std::string err;
-  const auto spec = campaign::parse_spec(spec_text, &err);
-  ASSERT_TRUE(spec.has_value()) << err;
-  const std::size_t cell_count = campaign::plan(*spec).size();
+  const CampaignSpec spec = small_gmp_spec();
+  const auto cells = campaign::plan(spec);
+  const auto baseline = record_strings(campaign::run_cells(cells, {}));
 
+  std::string err;
   Listener listener;
   ASSERT_TRUE(listener.open("127.0.0.1:0", &err)) << err;
   WorkerOptions wopts;
@@ -904,38 +865,31 @@ TEST(FabricService, RunsTwoJobsConcurrentlyOverOnePool) {
     run_service(&listener, sopts, &stats);
   });
 
-  // Two clients submit before either job can finish; the scheduler must
-  // run both at once (leases round-robin over the shared pool) rather
-  // than serialising them.
+  // Two clients submit at once; the scheduler must run both jobs together
+  // (leases round-robin over the shared pool) rather than serialising
+  // them. Per-job quota: with 2 workers and 2 jobs capped at 1 worker
+  // each, concurrency is forced rather than merely possible.
   Client clients[2];
+  std::vector<RunResult> results[2];
+  std::string errs[2];
   for (int c = 0; c < 2; ++c) {
     ASSERT_TRUE(clients[c].connect(listener.address(), "",
                                    "client-" + std::to_string(c), &err))
         << err;
-    Submit submit;
-    submit.spec_text = spec_text;
-    // Per-job quota: with 2 workers and 2 jobs capped at 1 worker each,
-    // concurrency is forced rather than merely possible.
-    submit.max_workers = 1;
-    ASSERT_TRUE(clients[c].submit(submit, &err)) << err;
+    clients[c].set_job(spec.name, 1);
   }
-
-  int progress[2] = {0, 0};
-  std::string done[2];
-  for (int c = 0; c < 2; ++c) {
-    SubmitHandlers h;
-    h.on_progress = [&](const std::string&) { ++progress[c]; };
-    h.on_done = [&](const std::string& json) { done[c] = json; };
-    clients[c].wait(h, &err);
-  }
+  std::thread second([&] {
+    results[1] = clients[1].run_cells(cells, {}, &errs[1]);
+  });
+  results[0] = clients[0].run_cells(cells, {}, &errs[0]);
+  second.join();
   stop.store(true);
   daemon.join();
   reap_local_workers(&pool);
 
   for (int c = 0; c < 2; ++c) {
-    EXPECT_NE(done[c].find("\"status\":\"ok\""), std::string::npos)
-        << done[c];
-    EXPECT_GE(progress[c], static_cast<int>(cell_count));
+    EXPECT_TRUE(errs[c].empty()) << errs[c];
+    EXPECT_EQ(record_strings(results[c]), baseline) << c;
   }
   EXPECT_EQ(stats.jobs_completed, 2);
   EXPECT_EQ(stats.peak_active, 2);  // they really ran at the same time
@@ -1081,13 +1035,13 @@ TEST(Fabric, OneVersionAndUnknownFramesDegradeGracefully) {
     return false;
   };
 
-  // The fabric speaks one version: a previous-revision (v2) worker is
+  // The fabric speaks one version: a previous-revision (v3) worker is
   // turned away, and the BYE names the only version accepted.
   const int fd2 = dial(listener.address(), &err);
   ASSERT_GE(fd2, 0) << err;
   fcntl(fd2, F_SETFL, O_NONBLOCK);
   Hello hello;
-  hello.version = 2;
+  hello.version = 3;
   hello.role = "worker";
   hello.name = "legacy";
   std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
@@ -1095,7 +1049,7 @@ TEST(Fabric, OneVersionAndUnknownFramesDegradeGracefully) {
   FrameReader reader2;
   ASSERT_TRUE(pump_until(fd2, &reader2, FrameType::kBye, 200));
   const std::string reason = decode_bye(f.payload);
-  EXPECT_NE(reason.find("peer v2, expected v3"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("peer v3, expected v4"), std::string::npos) << reason;
   EXPECT_EQ(engine.stats.version_rejected, 1);
   EXPECT_EQ(engine.stats.workers_joined, 0);
   close(fd2);
@@ -1203,17 +1157,9 @@ TEST(Fabric, FleetMetricsAndFlightRideAlongWithoutTouchingRecords) {
   }
 }
 
-TEST(FabricService, StatusAnswersLiveAndMetricsArtifactCoversTheFleet) {
-  const std::string spec_text =
-      "name fabric-unit\n"
-      "protocol gmp\n"
-      "oracle quiet\n"
-      "types gmp-heartbeat gmp-commit\n"
-      "faults drop\n"
-      "seeds 1000..1002\n"
-      "burst 2\n"
-      "side receive\n"
-      "duration_s 40\n";
+TEST(FabricService, StatusAnswersLiveAndDoneCoversTheFleet) {
+  const CampaignSpec spec = small_gmp_spec();
+  const auto cells = campaign::plan(spec);
   std::string err;
   Listener listener;
   ASSERT_TRUE(listener.open("127.0.0.1:0", &err)) << err;
@@ -1228,8 +1174,8 @@ TEST(FabricService, StatusAnswersLiveAndMetricsArtifactCoversTheFleet) {
   obs::Registry reg;
   std::thread daemon([&] {
     ServiceOptions sopts;
-    sopts.flight = &flight;
-    sopts.obs = &reg;
+    sopts.engine.flight = &flight;
+    sopts.engine.obs = &reg;
     sopts.should_stop = [&] { return stop.load(); };
     run_service(&listener, sopts, &stats);
   });
@@ -1248,21 +1194,16 @@ TEST(FabricService, StatusAnswersLiveAndMetricsArtifactCoversTheFleet) {
   }
   EXPECT_NE(status.find("\"active\":0"), std::string::npos) << status;
 
-  // Run a job; the metrics artifact must carry the deterministic metrics
-  // object plus the fleet/fabric side channel.
-  Submit submit;
-  submit.spec_text = spec_text;
-  ASSERT_TRUE(client.submit(submit, &err)) << err;
-  std::string metrics, done;
-  SubmitHandlers h;
-  h.on_artifact = [&](const std::string& name, const std::string& content,
-                      const std::string& chunk) {
-    if (name == "metrics" && chunk.empty()) metrics = content;
-  };
-  h.on_done = [&](const std::string& json) { done = json; };
-  client.wait(h, &err);
-  EXPECT_NE(done.find("\"status\":\"ok\""), std::string::npos) << done;
-  ASSERT_FALSE(metrics.empty());
+  // Run a job; the metrics document built from its results must carry the
+  // deterministic metrics object plus the fleet/fabric side channel that
+  // DONE brought back.
+  client.set_job(spec.name, 0);
+  const auto results = client.run_cells(cells, {}, &err);
+  EXPECT_TRUE(err.empty()) << err;
+  const std::string metrics = campaign::metrics_json(
+      spec.name, static_cast<int>(cells.size()), results,
+      [&](campaign::json::Writer* w) { client.fleet_sections(w); });
+  ASSERT_TRUE(campaign::json::parse(metrics).has_value()) << metrics;
   for (const char* key : {"\"campaign\":", "\"metrics\":", "\"fabric\":",
                           "\"fleet\":", "\"merged\":", "\"workers\":"}) {
     EXPECT_NE(metrics.find(key), std::string::npos) << key;
